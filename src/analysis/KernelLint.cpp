@@ -6,10 +6,7 @@
 
 #include "analysis/KernelLint.h"
 
-#include "codegen/CppCodegen.h"
-
 #include <cctype>
-#include <cstdlib>
 
 using namespace an5d;
 
@@ -51,15 +48,6 @@ void addFinding(LintReport &Report, LintRule Rule, int Line,
   F.Message = std::move(Message);
   Report.Findings.push_back(std::move(F));
 }
-
-/// The `an5d_*` symbols every kernel library must define
-/// (runtime/NativeExecutor.h, CppKernelAbiVersion contract).
-const char *const RequiredAbiSymbols[] = {
-    "an5d_abi_version", "an5d_stencil_name", "an5d_config",
-    "an5d_num_dims",    "an5d_radius",       "an5d_elem_size",
-    "an5d_block_time",  "an5d_max_threads",  "an5d_set_threads",
-    "an5d_run",
-};
 
 /// Process-control and allocation-free-stdio calls that have no place in
 /// any generated TU.
@@ -182,7 +170,7 @@ void checkRestrict(LintReport &Report, const std::string &Stripped,
                Function,
                "'" + Function + "' must __restrict__-qualify its " +
                    std::to_string(MinCount) +
-                   " buffer pointers (the schedule verifier proves they "
+                   " buffer pointers (the schedule prover shows they "
                    "never alias)");
 }
 
@@ -206,8 +194,6 @@ const char *an5d::lintRuleName(LintRule Rule) {
     return "missing-symbol";
   case LintRule::MissingExternC:
     return "missing-extern-c";
-  case LintRule::AbiVersionMismatch:
-    return "abi-version-mismatch";
   case LintRule::FloatLiteralPolicy:
     return "float-literal-policy";
   case LintRule::BannedCall:
@@ -377,39 +363,7 @@ LintReport an5d::lintTranslationUnit(const std::string &Source,
   LintReport Report;
   const std::string Stripped = stripCommentsAndStrings(Source);
 
-  // extern "C" linkage: matched against the raw source because the "C"
-  // string literal is blanked by the stripper.
-  const bool HasExternC = Source.find("extern \"C\"") != std::string::npos;
-
   if (Target == LintTarget::KernelLibrary) {
-    if (!HasExternC)
-      addFinding(Report, LintRule::MissingExternC, 0, "extern \"C\"",
-                 "kernel library never opens an extern \"C\" block; the "
-                 "loader resolves unmangled an5d_* symbols");
-    for (const char *Symbol : RequiredAbiSymbols)
-      if (findToken(Stripped, Symbol) == std::string::npos)
-        addFinding(Report, LintRule::MissingSymbol, 0, Symbol,
-                   std::string("required ABI symbol '") + Symbol +
-                       "' is not defined");
-
-    // an5d_abi_version must return the version the loader checks.
-    const size_t VersionPos = findToken(Stripped, "an5d_abi_version");
-    if (VersionPos != std::string::npos) {
-      const size_t ReturnPos = Stripped.find("return", VersionPos);
-      bool Matches = false;
-      if (ReturnPos != std::string::npos) {
-        const char *P = Stripped.c_str() + ReturnPos + 6;
-        char *End = nullptr;
-        const long Version = std::strtol(P, &End, 10);
-        Matches = End != P && Version == CppKernelAbiVersion;
-      }
-      if (!Matches)
-        addFinding(Report, LintRule::AbiVersionMismatch,
-                   lineOf(Stripped, VersionPos), "an5d_abi_version",
-                   "an5d_abi_version does not return " +
-                       std::to_string(CppKernelAbiVersion) +
-                       " (the version runtime/NativeExecutor.h loads)");
-    }
     for (const char *Name : BannedInKernelLibrary)
       checkBannedCall(Report, Stripped, Name, Target);
     checkRestrict(Report, Stripped, "runInvocation", 2);
@@ -423,7 +377,9 @@ LintReport an5d::lintTranslationUnit(const std::string &Source,
   }
 
   if (Target == LintTarget::CudaKernel) {
-    if (!HasExternC)
+    // extern "C" linkage: matched against the raw source because the "C"
+    // string literal is blanked by the stripper.
+    if (Source.find("extern \"C\"") == std::string::npos)
       addFinding(Report, LintRule::MissingExternC, 0, "extern \"C\"",
                  "CUDA kernel never opens an extern \"C\" block; the host "
                  "launcher resolves the unmangled kernel name");

@@ -7,21 +7,22 @@
 /// \file
 /// A structural linter over the translation units the code generators
 /// emit (self-check programs, OpenMP kernel libraries, CUDA kernels),
-/// enforcing the contracts the loaders and the bit-for-bit equivalence
-/// suite rely on:
+/// enforcing the source-level contracts nothing else checks:
 ///
-///  * every `an5d_*` ABI symbol a kernel library must export is present,
-///    inside an `extern "C"` block, and `an5d_abi_version` returns the
-///    version the loader checks (runtime/NativeExecutor.h);
 ///  * the exact-float-literal policy: a float TU suffixes every
 ///    floating-point literal with `f` (one double-rounded literal breaks
 ///    the bit-for-bit promise), and a double TU carries no `f` suffix;
 ///  * no banned calls — process control and stdio have no place in a
 ///    shared object a tuner dlopens and times;
 ///  * the buffer pointers of the blocked invocation are
-///    restrict-qualified (the schedule verifier proves the buffers never
+///    restrict-qualified (the schedule prover shows the buffers never
 ///    alias; the qualifier hands that proof to the optimizer);
-///  * CUDA TUs declare an `extern "C" __global__` kernel.
+///  * a check program defines `main`, and a CUDA TU declares an
+///    `extern "C" __global__` kernel.
+///
+/// The kernel library's `an5d_*` ABI (exported symbols and version) is
+/// not linted: runtime/NativeExecutor rejects a library that breaks it
+/// when it loads one, which is where a violation bites.
 ///
 /// The linter parses nothing: it strips comments and string literals
 /// (preserving line structure) and matches tokens, which is exactly as
@@ -51,12 +52,10 @@ const char *lintTargetName(LintTarget Target);
 
 /// The individual contract rules.
 enum class LintRule {
-  /// A required `an5d_*` ABI symbol is not defined.
+  /// A required symbol (a check program's `main`) is not defined.
   MissingSymbol,
-  /// The TU never opens an `extern "C"` linkage block.
+  /// A CUDA TU never opens an `extern "C"` linkage block.
   MissingExternC,
-  /// `an5d_abi_version` does not return CppKernelAbiVersion.
-  AbiVersionMismatch,
   /// A floating-point literal violates the exact-literal policy for the
   /// TU's element type.
   FloatLiteralPolicy,

@@ -1,153 +1,119 @@
-//===- ScheduleVerifier.h - Static proof of N.5D schedule safety -*- C++ -*-===//
+//===- ScheduleVerifier.h - The N.5D schedule prover ------------*- C++ -*-===//
 //
 // Part of the AN5D reproduction project, under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Interval analysis over the blocked N.5D schedule: given the lowered
-/// schedule/ScheduleIR of a (StencilProgram, BlockConfig) pair — ring
-/// depth, per-tier stream lag and spatial reach, work-item write strides —
-/// statically prove, before any kernel is compiled, that
+/// The one static prover of the blocked N.5D schedule (paper Section 4).
+/// Before any kernel is compiled, it proves on a lowered ScheduleIR — the
+/// exact object the emulator and both codegen backends render — that
 ///
-///   1. every tap read falls inside the allocated halo (the bT x radius
-///      rule, for the padded global grid, the loaded block span, and each
-///      tier's shrinking valid region — including the 1D empty-bS
-///      streaming schedule and boundary-plane pinning),
-///   2. the per-tier rings are deep enough that no producer overwrites a
-///      sub-plane a consumer has not read yet (ring clobber),
-///   3. wavefront dependency order holds — no tier reads a sub-plane its
-///      producer has not written by that streaming step (wave order), and
-///   4. the write-sets of concurrently scheduled OpenMP work items (the
-///      chunk x block worksharing set) are pairwise disjoint and gap-free
-///      (static race detector for the emitted `omp for`).
+///   1. every global-buffer load/store and every register-ring access of
+///      the emitted kernels is in bounds for ALL problem extents above
+///      the schedule's minimum, and each tier reads only what its
+///      producer holds valid (the bT x radius halo chain, tier by tier,
+///      on the blocked and streaming axes);
+///   2. the 2*rad+1 ring outlives every consumed sub-plane (no producer
+///      overwrites a slot its consumer has not read yet);
+///   3. tiers run in wavefront order (no tier reads a sub-plane its
+///      producer has not written by that streaming step);
+///   4. the concurrently scheduled blocks and stream chunks (the emitted
+///      `omp for` / CUDA grid) write disjoint, gap-free regions; and
+///   5. given a problem, the Section 4.3.1 host time-block schedule holds
+///      its postconditions and issues only degrees the IR lowers.
 ///
-/// The verifier checks the exact InvocationSchedule object the emulator
-/// and both codegen backends render (tier T at streaming step s processes
-/// sub-plane p = s - T*radius, holds a ring of RingDepth sub-planes, and
-/// keeps a valid region that shrinks by radius per tier, reach
-/// (bT - T)*radius) — so a proof here covers every consumer of the IR.
-/// Violations carry a structured kind plus the offending axis, tier and
-/// tap offset, and render as support/Diagnostic errors.
+/// Bounds are affine in the per-axis extent E: `Coeff*E + Offset`
+/// (SymBound). An inequality `a <= b` holds for every E >= MinExtent iff
+/// the difference has a non-negative extent coefficient AND is
+/// non-negative at E = MinExtent, so one check covers the whole extent
+/// family — exactly what a clamp such as
+/// `min(ChunkHi-1+LoadStreamReach, E-1+GridHalo)` needs.
 ///
-/// The IR's fields are deliberately mutable so tests can corrupt one
-/// invariant at a time (shrink a halo, swap a wave, overlap two lanes)
-/// and assert the verifier flags exactly that corruption.
+/// Every defect is an Error-severity AnalysisFinding under an append-only
+/// AN5D-A2xx ID (pass "schedule-prover"):
+///
+///   AN5D-A201  stream-axis load outside the allocated halo
+///   AN5D-A202  blocked-axis load outside the allocated halo
+///   AN5D-A203  grid halo smaller than the widest tap offset on an axis
+///   AN5D-A204  ring too shallow for a consumed sub-plane's lifetime
+///   AN5D-A205  tier consumes a sub-plane its producer has not written
+///   AN5D-A206  ring lane underflow (load-span halo too small)
+///   AN5D-A207  ring lane overflow (span exceeds the loaded block)
+///   AN5D-A208  store width exceeds the computed width
+///   AN5D-A209  retired (was the tiling Warn; now A213 / A214)
+///   AN5D-A210  schedule structurally malformed
+///   AN5D-A211  halo policy inconsistent with the blocked-axis set
+///   AN5D-A212  tier reads outside its producer tier's valid region
+///   AN5D-A213  concurrent blocks or chunks write overlapping cells
+///   AN5D-A214  concurrent blocks or chunks leave cells unwritten
+///   AN5D-A215  host time-block schedule breaks a postcondition
+///   AN5D-A216  the halo consumes the block (compute width < 1)
+///
+/// Thread caps are deliberately out of scope: they are a hardware limit,
+/// not a schedule-safety property (see BlockConfig::isFeasible). The IR's
+/// fields are mutable so tests can corrupt one invariant at a time and
+/// assert the ID that catches it.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef AN5D_ANALYSIS_SCHEDULEVERIFIER_H
 #define AN5D_ANALYSIS_SCHEDULEVERIFIER_H
 
-#include "ir/StencilProgram.h"
-#include "model/BlockConfig.h"
+#include "analysis/passes/AnalysisPass.h"
 #include "schedule/ScheduleIR.h"
-#include "support/Diagnostic.h"
 
-#include <string>
 #include <vector>
 
 namespace an5d {
 
-/// What a schedule violation breaks. Each kind names one invariant of the
-/// N.5D schedule; the mutation tests assert kind-for-corruption.
-enum class ScheduleViolationKind {
-  /// BS arity does not match the stencil dimensionality (bS carries one
-  /// entry per non-streaming dimension).
-  ConfigArity,
-  /// A blocked dimension's halo consumes the whole block: compute width
-  /// < 1 (the bS >= 2*bT*rad + 1 rule).
-  BlockTooSmall,
-  /// A tap read escapes the region its producer guarantees: the padded
-  /// global grid, the loaded block span, or the producing tier's valid
-  /// region.
-  HaloViolation,
-  /// A tier's ring is too shallow: a sub-plane is overwritten (slot
-  /// reuse) before the consuming tier has read it.
-  RingClobber,
-  /// Wavefront order broken: a tier reads a sub-plane its producer has
-  /// not written by that streaming step.
-  WaveOrderViolation,
-  /// Two concurrently scheduled work items write overlapping cells.
-  RaceOverlap,
-  /// Concurrent work items leave interior cells unwritten (stride
-  /// exceeds the stored width) — not a race, but an incorrect schedule.
-  CoverageGap,
-  /// The host-side temporal block schedule breaks a Section 4.3.1
-  /// postcondition (degree bounds, step sum, or call-count parity).
-  TimeScheduleInvariant,
+/// An affine bound in one axis extent E: value(E) = ExtentCoeff*E + Offset.
+struct SymBound {
+  long long ExtentCoeff = 0;
+  long long Offset = 0;
+
+  long long value(long long Extent) const {
+    return ExtentCoeff * Extent + Offset;
+  }
 };
 
-/// Stable lowercase name of \p Kind (e.g. "halo-violation").
-const char *scheduleViolationKindName(ScheduleViolationKind Kind);
+/// True iff A <= B for every extent E >= MinExtent: the difference B - A
+/// must grow (or stay flat) with E and already hold at the minimum.
+inline bool provedLE(SymBound A, SymBound B, long long MinExtent) {
+  long long DCoeff = B.ExtentCoeff - A.ExtentCoeff;
+  long long DAtMin = B.value(MinExtent) - A.value(MinExtent);
+  return DCoeff >= 0 && DAtMin >= 0;
+}
 
-/// One statically detected schedule defect. Axis 0 is the streaming
-/// dimension; axes 1..N-1 are the blocked dimensions; -1 means the
-/// violation is not tied to one axis. Tier -1 likewise means no single
-/// tier (tier 0 is the load tier, 1..degree compute).
-struct ScheduleViolation {
-  ScheduleViolationKind Kind = ScheduleViolationKind::HaloViolation;
-  int Degree = 0;
-  int Tier = -1;
-  int Axis = -1;
-  long long Offset = 0; ///< Offending tap offset or overlap width.
-  std::string Message;  ///< Human-readable detail, LLVM diag style.
+/// Proves \p IR against buffers allocated with \p AllocHalo cells per side
+/// (the Grid layout allocates radius), for every per-axis extent >=
+/// \p MinExtent, appending one finding per violated invariant to
+/// \p Report. When \p Problem is non-null, also checks the host time-block
+/// schedule for Problem->TimeSteps (A215).
+void proveSchedule(const ScheduleIR &IR, long long AllocHalo,
+                   const ProblemSize *Problem, AnalysisReport &Report,
+                   long long MinExtent = 1);
 
-  /// "[halo-violation] degree 2 tier 1 axis 1: <message>".
-  std::string toString() const;
-
-  /// The same content as a support/Diagnostic error.
-  Diagnostic toDiagnostic() const;
-};
-
-/// Outcome of verifying one (program, config) pair across all temporal
-/// degrees the schedule can issue.
+/// The prover's verdict as a standalone call.
 struct ScheduleVerifyResult {
-  std::vector<ScheduleViolation> Violations;
-  int DegreesChecked = 0;
+  std::vector<AnalysisFinding> Violations; ///< Error findings; empty = safe.
 
-  /// True when every checked degree is statically safe.
   bool proven() const { return Violations.empty(); }
-
-  /// One line per violation; "schedule proven safe" when clean.
-  std::string toString() const;
-
-  /// Reports every violation into \p Diags as an error.
-  void render(DiagnosticEngine &Diags) const;
 };
 
-/// The verifier operates directly on the schedule IR: the per-degree
-/// invocation plan is schedule/ScheduleIR.h's InvocationSchedule, kept
-/// under its historical verifier-side names for the mutation tests.
-using TierModel = TierSchedule;
-using ScheduleModel = InvocationSchedule;
-
-/// Derives the per-degree invocation plan (1 <= Degree <= Config.BT; the
-/// host schedule can issue any such degree). Thin alias over
-/// schedule/ScheduleIR.h's lowerInvocation — the verifier checks exactly
-/// what the backends render.
-ScheduleModel buildScheduleModel(const StencilProgram &Program,
-                                 const BlockConfig &Config, int Degree);
-
-/// Checks every invariant of \p Model and returns all violations found
-/// (empty means statically proven safe at Model.Degree).
-std::vector<ScheduleViolation> verifyScheduleModel(const ScheduleModel &Model);
-
-/// Verifies a lowered \p IR across every invocation degree it carries.
-/// When \p Problem is non-null, additionally validates the Section 4.3.1
-/// host-schedule postconditions for Problem->TimeSteps. Thread caps are
-/// deliberately out of scope: they are a hardware resource limit, not a
-/// schedule-safety property (see BlockConfig::isFeasible). This is the
-/// core entry point: the emulator, codegens, and tuner verify the same
-/// IR object they render.
+/// Proves \p IR against an allocation of IR.Radius cells per side (and
+/// the host schedule of \p Problem when non-null).
 ScheduleVerifyResult verifyScheduleIR(const ScheduleIR &IR,
                                       const ProblemSize *Problem = nullptr);
 
-/// Convenience wrapper: lowers (\p Program, \p Config) with lowerSchedule
-/// and verifies the resulting IR.
-ScheduleVerifyResult verifySchedule(const StencilProgram &Program,
-                                    const BlockConfig &Config,
-                                    const ProblemSize *Problem = nullptr);
+/// The pass adapter: proves Input.Schedule against an allocation halo of
+/// Program->radius(), plus Input.Problem's host schedule when set. Silent
+/// when the input carries no schedule.
+class ScheduleProverPass : public AnalysisPass {
+public:
+  const char *name() const override { return "schedule-prover"; }
+  void run(const AnalysisInput &Input, AnalysisReport &Report) const override;
+};
 
 } // namespace an5d
 

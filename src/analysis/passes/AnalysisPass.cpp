@@ -6,7 +6,7 @@
 
 #include "analysis/passes/AnalysisPass.h"
 
-#include "analysis/passes/AccessBoundsProver.h"
+#include "analysis/ScheduleVerifier.h"
 #include "analysis/passes/ResourceEstimator.h"
 #include "analysis/passes/TapeVerifier.h"
 #include "ir/StencilProgram.h"
@@ -126,7 +126,7 @@ AnalysisPassManager::add(std::unique_ptr<AnalysisPass> Pass) {
 AnalysisPassManager AnalysisPassManager::standardPipeline() {
   AnalysisPassManager PM;
   PM.add(std::make_unique<TapeVerifierPass>());
-  PM.add(std::make_unique<AccessBoundsProverPass>());
+  PM.add(std::make_unique<ScheduleProverPass>());
   PM.add(std::make_unique<ResourceEstimatorPass>());
   return PM;
 }

@@ -6,18 +6,17 @@
 ///
 /// \file
 /// A small pass framework for static analyses over the lowered pipeline
-/// state: typed passes run over (StencilProgram, ExprPlan, ScheduleIR) and
-/// emit structured findings with stable IDs (`AN5D-A###`), one severity
-/// each, and both human and JSON renderings. It is the layer above the
-/// PR-6 ScheduleVerifier: the verifier proves one schedule's shape; the
-/// passes here prove tape well-formedness, buffer-access bounds, and
-/// compute static resource features for the tuner's cost model.
+/// state: typed passes run over (StencilProgram, ExprPlan, ScheduleIR,
+/// ProblemSize) and emit structured findings with stable IDs
+/// (`AN5D-A###`), one severity each, and both human and JSON renderings.
+/// The standard pipeline is the one pre-JIT gate: the tuner runs it on
+/// every candidate and `an5dc --analyze` reports it.
 ///
 /// Finding IDs are append-only and never reused — tests, the `--analyze`
 /// JSON report and the README glossary all key on them:
 ///
 ///   AN5D-A1xx  TapeVerifier       (analysis/passes/TapeVerifier.h)
-///   AN5D-A2xx  AccessBoundsProver (analysis/passes/AccessBoundsProver.h)
+///   AN5D-A2xx  schedule prover    (analysis/ScheduleVerifier.h)
 ///   AN5D-A3xx  ResourceEstimator  (analysis/passes/ResourceEstimator.h)
 ///
 /// The AnalysisPassManager wraps each pass run in an "analysis.pass" obs
@@ -40,6 +39,7 @@ namespace an5d {
 
 class StencilProgram;
 class ExprPlan;
+struct ProblemSize;
 struct ScheduleIR;
 
 /// Severity of one analysis finding. Error findings gate the tuner's
@@ -97,10 +97,12 @@ struct AnalysisReport {
 /// The state one pipeline run analyzes. Program is mandatory; Plan
 /// defaults to Program->plan() when null; Schedule may be null, in which
 /// case schedule-level passes have nothing to check and stay silent.
+/// Problem, when set, adds its host time-block schedule to the proof.
 struct AnalysisInput {
   const StencilProgram *Program = nullptr;
   const ExprPlan *Plan = nullptr;
   const ScheduleIR *Schedule = nullptr;
+  const ProblemSize *Problem = nullptr;
 };
 
 /// One typed static analysis. Passes are stateless: run() derives every
@@ -128,7 +130,7 @@ public:
 
   std::size_t numPasses() const { return Passes.size(); }
 
-  /// The shipped pipeline: tape-verifier, access-bounds, then
+  /// The shipped pipeline: tape-verifier, schedule-prover, then
   /// resource-estimator — the order an5dc --analyze and the tuner's
   /// pre-JIT gate both run.
   static AnalysisPassManager standardPipeline();

@@ -610,13 +610,6 @@ std::string generateCppCheckProgram(const StencilProgram &Program,
   return Out;
 }
 
-std::string generateCppCheckProgram(const StencilProgram &Program,
-                                    const BlockConfig &Config,
-                                    const ProblemSize &Problem) {
-  return generateCppCheckProgram(Program, lowerSchedule(Program, Config),
-                                 Problem);
-}
-
 std::string generateCppKernelLibrary(const StencilProgram &Program,
                                      const ScheduleIR &Schedule) {
   assert(Schedule.NumDims >= 1 && Schedule.NumDims <= 3 &&
@@ -636,11 +629,6 @@ std::string generateCppKernelLibrary(const StencilProgram &Program,
   Out += emitBlocked(Normalized.NumDims);
   Out += emitKernelApi(Program, Normalized.Config);
   return Out;
-}
-
-std::string generateCppKernelLibrary(const StencilProgram &Program,
-                                     const BlockConfig &Config) {
-  return generateCppKernelLibrary(Program, lowerSchedule(Program, Config));
 }
 
 } // namespace an5d

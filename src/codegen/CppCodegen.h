@@ -51,23 +51,12 @@ std::string generateCppCheckProgram(const StencilProgram &Program,
                                     const ScheduleIR &Schedule,
                                     const ProblemSize &Problem);
 
-/// Convenience wrapper: lowers \p Config with lowerSchedule and renders
-/// the resulting IR.
-std::string generateCppCheckProgram(const StencilProgram &Program,
-                                    const BlockConfig &Config,
-                                    const ProblemSize &Problem);
-
 /// Renders the callable OpenMP kernel library from a lowered schedule:
 /// the translation unit the native runtime compiles into a shared
 /// object. Extents and time-steps are parameters of the exported
 /// `an5d_run`.
 std::string generateCppKernelLibrary(const StencilProgram &Program,
                                      const ScheduleIR &Schedule);
-
-/// Convenience wrapper: lowers \p Config with lowerSchedule and renders
-/// the resulting IR.
-std::string generateCppKernelLibrary(const StencilProgram &Program,
-                                     const BlockConfig &Config);
 
 /// The current `an5d_*` ABI version emitted into kernel libraries and
 /// checked by the loader before calling into one.

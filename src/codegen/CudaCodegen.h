@@ -64,12 +64,6 @@ GeneratedCuda generateCuda(const StencilProgram &Program,
                            const ScheduleIR &Schedule,
                            const CodegenOptions &Options = {});
 
-/// Convenience wrapper: lowers \p Config with lowerSchedule and renders
-/// the resulting IR.
-GeneratedCuda generateCuda(const StencilProgram &Program,
-                           const BlockConfig &Config,
-                           const CodegenOptions &Options = {});
-
 } // namespace an5d
 
 #endif // AN5D_CODEGEN_CUDACODEGEN_H

@@ -73,12 +73,6 @@ struct BlockConfig {
   /// arity contract for the model/tuner stack.
   bool isFeasible(int Radius, int MaxThreadsPerBlock = 1024) const;
 
-  /// True if BS carries exactly one entry per non-streaming dimension of
-  /// an \p NumDims-dimensional stencil — the arity contract isFeasible
-  /// cannot check on its own (see above). The schedule verifier and the
-  /// model stack share this predicate.
-  bool matchesDimensionality(int NumDims) const;
-
   std::string toString() const;
 };
 

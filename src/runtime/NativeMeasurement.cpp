@@ -6,7 +6,6 @@
 
 #include "runtime/NativeMeasurement.h"
 
-#include "analysis/ScheduleVerifier.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "sim/Grid.h"
@@ -131,8 +130,8 @@ nativeMeasuredSweep(const StencilProgram &Program,
   }
 
   // Lower each candidate exactly once (unless the caller — the tuner —
-  // already did and handed the IR down): the verifier, the kernel codegen
-  // and the timing stage below all consume this one schedule.
+  // already did and handed the IR down): the kernel codegen and the
+  // timing stage below both consume this one schedule.
   std::vector<ScheduleIR> Lowered(Candidates.size());
   std::vector<const ScheduleIR *> Schedules(Candidates.size());
   for (std::size_t I = 0; I < Candidates.size(); ++I) {
@@ -146,29 +145,6 @@ nativeMeasuredSweep(const StencilProgram &Program,
     } else {
       Lowered[I] = lowerSchedule(Program, Candidates[I].Config);
       Schedules[I] = &Lowered[I];
-    }
-  }
-
-  // Stage 0: static schedule verification, before any compiler runs. A
-  // candidate the interval analysis cannot prove safe is rejected here —
-  // no JIT time spent — with the verdict as its failure reason. Only
-  // configurations the feasibility model accepts are verified, so
-  // genuinely infeasible candidates keep their established "infeasible"
-  // diagnostics from the build path below.
-  if (Options.VerifySchedule) {
-    AN5D_TRACE_SPAN("sweep.verify");
-    for (std::size_t I = 0; I < Candidates.size(); ++I) {
-      const BlockConfig &Config = Candidates[I].Config;
-      if (!Config.matchesDimensionality(Program.numDims()) ||
-          !Config.isFeasible(Program.radius()))
-        continue;
-      ScheduleVerifyResult Verdict = verifyScheduleIR(*Schedules[I]);
-      if (!Verdict.proven()) {
-        Results[I].FailureReason = "schedule verifier rejected " +
-                                   Config.toString() + ": " +
-                                   Verdict.Violations.front().toString();
-        Results[I].FailureKind = MeasureFailureKind::VerifierRejected;
-      }
     }
   }
 
@@ -200,8 +176,6 @@ nativeMeasuredSweep(const StencilProgram &Program,
                     static_cast<long long>(
                         Candidates.size() -
                         std::min(Item + 1, Candidates.size())));
-      if (!Results[Item].FailureReason.empty())
-        continue; // verifier-rejected: never build
       if (KernelSlot[Item] != Item)
         continue; // another slot owns this configuration's kernel
       obs::TraceSpan Span("sweep.compile");
@@ -235,8 +209,6 @@ nativeMeasuredSweep(const StencilProgram &Program,
       static_cast<double>(Program.flopsPerCell().total());
   std::vector<bool> Warmed(Candidates.size(), false);
   for (std::size_t I = 0; I < Candidates.size(); ++I) {
-    if (!Results[I].FailureReason.empty())
-      continue; // verifier-rejected in stage 0
     std::size_t Slot = KernelSlot[I];
     NativeExecutor *Executor = Executors[Slot].get();
     if (!Executor || !Executor->ok()) {

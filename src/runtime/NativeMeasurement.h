@@ -51,15 +51,6 @@ struct NativeMeasureOptions {
   /// several problem sizes) reuse that warmup (an5dc --measure-repeats
   /// sets the timed count).
   int Repeats = 2;
-
-  /// Statically verify each candidate's schedule
-  /// (analysis/ScheduleVerifier.h) before spending compile time on it; a
-  /// rejected candidate never reaches the compiler and carries the
-  /// verifier's verdict in MeasuredResult::FailureReason. Infeasible
-  /// configurations still report through the build path as before — the
-  /// verifier gates only configurations the feasibility model accepts,
-  /// so a rejection flags model/verifier disagreement.
-  bool VerifySchedule = true;
 };
 
 /// A problem size small enough for wall-clock candidate timing on a CPU

@@ -32,13 +32,15 @@ const InvocationSchedule &ScheduleIR::full() const {
   return Invocations.back();
 }
 
-InvocationSchedule an5d::lowerInvocation(const StencilProgram &Program,
-                                         const BlockConfig &Config,
-                                         int Degree) {
+/// Lowers the invocation plan of \p Config at temporal degree \p Degree
+/// (1 <= Degree <= Config.BT; the host schedule can issue any such
+/// degree). Never rejects: structurally broken configurations lower to a
+/// plan the schedule prover refutes.
+static InvocationSchedule lowerInvocation(const StencilProgram &Program,
+                                          const BlockConfig &Config,
+                                          int Degree) {
   const long long Rad = Program.radius();
   InvocationSchedule M;
-  M.Name = Program.name() + " " + Config.toString() + " degree " +
-           std::to_string(Degree);
   M.NumDims = Program.numDims();
   M.Radius = Program.radius();
   M.Degree = Degree;

@@ -88,11 +88,10 @@ struct TierSchedule {
 };
 
 /// Explicit schedule of one temporal-block invocation at a fixed degree.
-/// lowerInvocation derives it from (program, config); every field is a
+/// lowerSchedule derives it from (program, config); every field is a
 /// plain value so tests can corrupt single invariants.
 struct InvocationSchedule {
-  std::string Name; ///< "<stencil> <config> degree <d>" for messages.
-  int NumDims = 1;  ///< Spatial dimensions (streaming dim included).
+  int NumDims = 1; ///< Spatial dimensions (streaming dim included).
   int Radius = 1;
   int Degree = 1;
 
@@ -178,13 +177,6 @@ struct ScheduleIR {
   /// Asserts when Invocations is empty.
   const InvocationSchedule &full() const;
 };
-
-/// Lowers the invocation plan of \p Config at temporal degree \p Degree
-/// (1 <= Degree <= Config.BT; the host schedule can issue any such
-/// degree). Never rejects: structurally broken configurations lower to a
-/// plan the verifier refutes.
-InvocationSchedule lowerInvocation(const StencilProgram &Program,
-                                   const BlockConfig &Config, int Degree);
 
 /// The single lowering entry point: derives the complete ScheduleIR the
 /// emulator, both codegen backends, and the verifier share for

@@ -42,8 +42,8 @@ struct SweepCandidate {
   std::size_t ProblemIndex = 0;
 
   /// The candidate's lowered schedule, when the producer already lowered
-  /// it (the tuner lowers once per candidate and hands the IR down to the
-  /// verifier and the native backend). Left default-constructed — an
+  /// it (the tuner lowers once per candidate, gates that IR and hands it
+  /// down to the native backend). Left default-constructed — an
   /// empty StencilName marks it absent — by callers that only fill
   /// Config; consumers that need the IR lower it themselves then. When
   /// set, Schedule.Config must equal Config.

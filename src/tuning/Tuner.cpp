@@ -6,7 +6,6 @@
 
 #include "tuning/Tuner.h"
 
-#include "analysis/ScheduleVerifier.h"
 #include "analysis/passes/AnalysisPass.h"
 #include "analysis/passes/ResourceEstimator.h"
 #include "model/RegisterModel.h"
@@ -183,54 +182,44 @@ Tuner::tuneAcrossProblems(const StencilProgram &Program,
       obs::TraceSpan CandidateSpan("tune.candidate");
       if (CandidateSpan.active())
         CandidateSpan.attr("config", Candidate.Config.toString());
-      // Lower once; the verifier checks this IR and the sweep candidates
+      // Lower once; the gate proves this IR and the sweep candidates
       // carry it down to the native backend, so nothing re-derives the
       // schedule from the raw configuration.
       ScheduleIR Lowered = [&] {
         AN5D_TRACE_SPAN("tune.lower");
         return lowerSchedule(Program, Candidate.Config);
       }();
-      // Static schedule verification gates the sweep: a candidate the
-      // interval analysis cannot prove safe never reaches the compiler.
-      // rankByModel only emits feasibility-pruned configs, so a rejection
-      // here means the model and the verifier disagree — worth surfacing
-      // loudly rather than timing a kernel with a latent race.
-      ScheduleVerifyResult Verdict = [&] {
-        AN5D_TRACE_SPAN("tune.verify");
-        return verifyScheduleIR(Lowered, &Problems[P]);
+      // The one pre-JIT gate: tape discipline, the schedule proof
+      // (including this problem's host time-block schedule) and the
+      // resource features. A candidate with an Error finding never
+      // reaches the compiler. rankByModel only emits feasibility-pruned
+      // configs, so a rejection here means the model and the gate
+      // disagree — worth surfacing loudly rather than timing a kernel
+      // with a latent race.
+      AnalysisInput GateInput;
+      GateInput.Program = &Program;
+      GateInput.Schedule = &Lowered;
+      GateInput.Problem = &Problems[P];
+      AnalysisReport Gate = [&] {
+        AN5D_TRACE_SPAN("tune.analyze");
+        return Passes.run(GateInput);
       }();
-      if (!Verdict.proven()) {
-        ++Outcomes[P].VerifierRejections;
-        obs::count("tuner.verifier_rejections");
+      if (!Gate.proven()) {
+        const AnalysisFinding &First = *std::find_if(
+            Gate.Findings.begin(), Gate.Findings.end(),
+            [](const AnalysisFinding &F) {
+              return F.Severity == FindingSeverity::Error;
+            });
+        if (First.Id.rfind("AN5D-A2", 0) == 0) {
+          ++Outcomes[P].VerifierRejections;
+          obs::count("tuner.verifier_rejections");
+        } else {
+          ++Outcomes[P].AnalysisRejections;
+          obs::count("tuner.analysis_rejections");
+        }
         if (Outcomes[P].FirstRejectionReason.empty())
           Outcomes[P].FirstRejectionReason =
-              Candidate.Config.toString() + ": " +
-              Verdict.Violations.front().toString();
-        continue;
-      }
-      // The dataflow pass pipeline runs next to the verifier on the same
-      // IR: tape discipline, symbolic access bounds, and the resource
-      // features the sweep candidates carry. An Error finding rejects the
-      // candidate pre-JIT, exactly like a verifier refutation.
-      AnalysisInput PassInput;
-      PassInput.Program = &Program;
-      PassInput.Schedule = &Lowered;
-      AnalysisReport Analysis = [&] {
-        AN5D_TRACE_SPAN("tune.analyze");
-        return Passes.run(PassInput);
-      }();
-      if (!Analysis.proven()) {
-        ++Outcomes[P].AnalysisRejections;
-        obs::count("tuner.analysis_rejections");
-        if (Outcomes[P].FirstAnalysisRejection.empty()) {
-          for (const AnalysisFinding &F : Analysis.Findings) {
-            if (F.Severity != FindingSeverity::Error)
-              continue;
-            Outcomes[P].FirstAnalysisRejection =
-                Candidate.Config.toString() + ": " + F.toString();
-            break;
-          }
-        }
+              Candidate.Config.toString() + ": " + First.toString();
         continue;
       }
       ResourceEstimate Resources = estimateResources(Program, Lowered);

@@ -75,24 +75,19 @@ struct TuneOutcome {
   /// instead of re-parsing the free-form string.
   MeasureFailureKind FirstFailureKind = MeasureFailureKind::None;
 
-  /// Model-ranked candidates the schedule verifier
-  /// (analysis/ScheduleVerifier.h) statically rejected before any kernel
-  /// was compiled — distinct from model-infeasible candidates (silently
-  /// pruned in stage 1) and from MeasurementFailures (the backend tried
-  /// and failed). Non-zero means the feasibility model and the verifier
-  /// disagree; the cross-check suite keeps this at zero for every
+  /// Model-ranked candidates the pre-JIT gate (the standard analysis
+  /// pipeline, analysis/passes/AnalysisPass.h) rejected with an Error
+  /// finding before any kernel was compiled — distinct from
+  /// model-infeasible candidates (silently pruned in stage 1) and from
+  /// MeasurementFailures (the backend tried and failed). The count is
+  /// split by the family of the first Error finding: VerifierRejections
+  /// for A2xx schedule findings, AnalysisRejections for A1xx tape
+  /// findings. Non-zero means the feasibility model and the gate
+  /// disagree; the cross-check suite keeps both at zero for every
   /// enumerated configuration.
   std::size_t VerifierRejections = 0;
-  std::string FirstRejectionReason; ///< Representative verifier verdict.
-
-  /// Candidates the static analysis pipeline (analysis/passes/) rejected
-  /// with an Error-severity finding after the schedule verifier had
-  /// already accepted them — tape breakage or an access-bounds
-  /// refutation the shape checks cannot see. Like VerifierRejections,
-  /// this stays at zero for every enumerated configuration; non-zero
-  /// means lowering and the dataflow passes disagree.
   std::size_t AnalysisRejections = 0;
-  std::string FirstAnalysisRejection; ///< Representative finding.
+  std::string FirstRejectionReason; ///< Representative Error finding.
 };
 
 /// Knobs of the Section 6.3 search.

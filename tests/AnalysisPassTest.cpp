@@ -8,8 +8,9 @@
 ///
 ///  - framework: finding rendering (string / diagnostic / JSON), report
 ///    aggregation, pass manager wiring and its obs metrics;
-///  - soundness: every builtin stencil, at every enumerated feasible
-///    configuration, lowers to a tape and schedule the passes prove clean;
+///  - soundness: every builtin stencil, at every enumerated configuration,
+///    lowers to a schedule the pre-JIT gate accepts exactly when the
+///    configuration is feasible;
 ///  - completeness: mutation tests corrupt exactly one fact of a known-good
 ///    tape or schedule and assert the one finding ID that must catch it,
 ///    plus fixed-seed fuzzing over random DSL programs and random tape
@@ -17,7 +18,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/passes/AccessBoundsProver.h"
+#include "analysis/ScheduleVerifier.h"
 #include "analysis/passes/AnalysisPass.h"
 #include "analysis/passes/ResourceEstimator.h"
 #include "analysis/passes/TapeVerifier.h"
@@ -33,6 +34,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
 #include <limits>
 #include <random>
@@ -45,23 +47,27 @@ TapeFacts factsOf(const StencilProgram &Program) {
   return TapeFacts::of(Program.plan(), Program);
 }
 
-/// j2d5pt at bT=2 bS=64: the canonical known-good schedule the mutation
-/// tests corrupt one field at a time.
+/// A known-good schedule the mutation tests corrupt one field at a time:
+/// j2d5pt (radius 1) at bT=2 bS=64 by default; a 1D \p Stencil such as
+/// star1d1r lowers to the pure-streaming schedule (bS stays empty).
 struct GoodSchedule {
   std::unique_ptr<StencilProgram> Program;
   ScheduleIR IR;
 
-  explicit GoodSchedule(long long HS = 0) {
-    Program = makeBenchmarkStencil("j2d5pt", ScalarType::Float);
+  explicit GoodSchedule(long long HS = 0, const char *Stencil = "j2d5pt",
+                        int BT = 2, int BS = 64) {
+    Program = makeBenchmarkStencil(Stencil, ScalarType::Float);
     BlockConfig Config;
-    Config.BT = 2;
-    Config.BS = {64};
+    Config.BT = BT;
+    Config.BS.assign(Program->numDims() - 1, BS);
     Config.HS = HS;
     IR = lowerSchedule(*Program, Config);
   }
 
-  AnalysisReport prove() const {
-    return proveAccessBounds(IR, Program->radius());
+  AnalysisReport prove(const ProblemSize *Problem = nullptr) const {
+    AnalysisReport Report;
+    proveSchedule(IR, Program->radius(), Problem, Report);
+    return Report;
   }
 
   /// Shared invariants must change on the IR and every invocation in
@@ -73,6 +79,17 @@ struct GoodSchedule {
       Mutate(Inv.GridHalo, Inv.RingDepth, Inv.Radius, Inv.HaloPolicy);
   }
 };
+
+/// Passes when \p Report carries \p Id as an Error finding.
+::testing::AssertionResult hasError(const AnalysisReport &Report,
+                                    const char *Id) {
+  for (const AnalysisFinding &F : Report.Findings)
+    if (F.Id == Id && F.Severity == FindingSeverity::Error)
+      return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "no Error " << Id << " among:\n"
+         << Report.toString();
+}
 
 std::vector<std::string> allBuiltinNames() {
   std::vector<std::string> Names = benchmarkStencilNames();
@@ -123,7 +140,7 @@ TEST(AnalysisFramework, ReportAggregates) {
   E.Severity = FindingSeverity::Error;
   Report.Findings.push_back(E);
   AnalysisFinding W = E;
-  W.Id = "AN5D-A209";
+  W.Id = "AN5D-A114";
   W.Severity = FindingSeverity::Warn;
   Report.Findings.push_back(W);
 
@@ -132,7 +149,7 @@ TEST(AnalysisFramework, ReportAggregates) {
   EXPECT_EQ(Report.countBySeverity(FindingSeverity::Info), 0u);
   EXPECT_FALSE(Report.proven());
   EXPECT_TRUE(Report.hasFinding("AN5D-A201"));
-  EXPECT_TRUE(Report.hasFinding("AN5D-A209"));
+  EXPECT_TRUE(Report.hasFinding("AN5D-A114"));
   EXPECT_FALSE(Report.hasFinding("AN5D-A101"));
 
   DiagnosticEngine Diags;
@@ -146,8 +163,8 @@ TEST(AnalysisFramework, ReportJsonRoundTrips) {
   AnalysisFinding F;
   F.Id = "AN5D-A207";
   F.Severity = FindingSeverity::Error;
-  F.Pass = "access-bounds";
-  F.Subject = "degree 2 tier 1 axis 0";
+  F.Pass = "schedule-prover";
+  F.Subject = "degree 2 tier 1 axis 1";
   F.Message = "ring lane overflow with \"quotes\" and\nnewline";
   Report.Findings.push_back(F);
   F.Id = "AN5D-A302";
@@ -165,8 +182,8 @@ TEST(AnalysisFramework, ReportJsonRoundTrips) {
   ASSERT_NE(First.find("id"), nullptr);
   EXPECT_EQ(First.find("id")->String, "AN5D-A207");
   EXPECT_EQ(First.find("severity")->String, "error");
-  EXPECT_EQ(First.find("pass")->String, "access-bounds");
-  EXPECT_EQ(First.find("subject")->String, "degree 2 tier 1 axis 0");
+  EXPECT_EQ(First.find("pass")->String, "schedule-prover");
+  EXPECT_EQ(First.find("subject")->String, "degree 2 tier 1 axis 1");
   EXPECT_EQ(First.find("message")->String,
             "ring lane overflow with \"quotes\" and\nnewline");
   EXPECT_EQ(Parsed->Items[1].find("severity")->String, "info");
@@ -206,6 +223,25 @@ TEST(AnalysisFramework, PlanDefaultsToProgramAndScheduleIsOptional) {
   EXPECT_TRUE(Report.Findings.empty()) << Report.toString();
 }
 
+TEST(AnalysisFramework, PipelineProvesHostScheduleOnlyWithProblem) {
+  // Five steps at bT=2 run as degrees {2, 2, 1}; drop the degree-2
+  // invocation the host schedule needs.
+  GoodSchedule S;
+  S.IR.Invocations.pop_back();
+  ProblemSize Problem;
+  Problem.TimeSteps = 5;
+  AnalysisInput Input;
+  Input.Program = S.Program.get();
+  Input.Schedule = &S.IR;
+  const AnalysisPassManager Passes = AnalysisPassManager::standardPipeline();
+  EXPECT_TRUE(Passes.run(Input).Findings.empty());
+  Input.Problem = &Problem;
+  AnalysisReport Report = Passes.run(Input);
+  EXPECT_TRUE(hasError(Report, "AN5D-A215"));
+  ASSERT_EQ(Report.Findings.size(), 1u) << Report.toString();
+  EXPECT_EQ(Report.Findings.front().Pass, "schedule-prover");
+}
+
 //===----------------------------------------------------------------------===//
 // Soundness: every builtin, every enumerated feasible configuration
 //===----------------------------------------------------------------------===//
@@ -221,29 +257,52 @@ TEST(AnalysisSoundness, EveryBuiltinTapeVerifies) {
     }
 }
 
-TEST(AnalysisSoundness, EveryEnumeratedConfigProvesClean) {
+// The one property behind the tuner's zero-rejection invariant: lowering
+// is total and structurally faithful for every enumerated configuration
+// of every builtin, and the pre-JIT gate (the standard pipeline, with the
+// problem's host schedule) accepts the lowered IR exactly when the
+// feasibility model does — thread caps excepted, a hardware limit rather
+// than a schedule property. A refused configuration is refused because
+// its halo consumes the block.
+TEST(AnalysisSoundness, GateAcceptsExactlyTheFeasibleEnumeratedConfigs) {
   Tuner T(GpuSpec::teslaV100());
   const AnalysisPassManager Passes = AnalysisPassManager::standardPipeline();
-  std::size_t Proven = 0;
+  std::size_t Proven = 0, Refused = 0;
   for (const std::string &Name : allBuiltinNames()) {
     auto Program = makeBenchmarkStencil(Name, ScalarType::Float);
     ASSERT_NE(Program, nullptr) << Name;
+    const ProblemSize Problem = ProblemSize::paperDefault(Program->numDims());
     for (const BlockConfig &Config : T.enumerateConfigs(*Program)) {
-      if (!Config.isFeasible(Program->radius()))
-        continue;
+      const std::string Where = Name + " " + Config.toString();
+      ASSERT_EQ(static_cast<int>(Config.BS.size()), Program->numDims() - 1)
+          << Where;
       ScheduleIR IR = lowerSchedule(*Program, Config);
+      EXPECT_EQ(IR.StencilName, Program->name());
+      EXPECT_EQ(IR.NumDims, Program->numDims());
+      EXPECT_EQ(IR.Radius, Program->radius());
+      EXPECT_EQ(IR.Config.toString(), Config.toString());
+      ASSERT_EQ(static_cast<int>(IR.Invocations.size()), Config.BT) << Where;
+
       AnalysisInput Input;
       Input.Program = Program.get();
       Input.Schedule = &IR;
+      Input.Problem = &Problem;
       AnalysisReport Report = Passes.run(Input);
-      EXPECT_EQ(Report.errorCount(), 0u)
-          << Name << " " << Config.toString() << ": " << Report.toString();
-      ++Proven;
+      const bool Feasible = Config.isFeasible(Program->radius(), INT_MAX);
+      EXPECT_EQ(Report.proven(), Feasible)
+          << Where << ": " << Report.toString();
+      if (Feasible) {
+        ++Proven;
+      } else {
+        EXPECT_TRUE(hasError(Report, "AN5D-A216")) << Where;
+        ++Refused;
+      }
     }
   }
-  // The grid is supposed to be dense; an accidentally empty sweep would
-  // vacuously pass everything above.
+  // The grid is supposed to be dense on both sides; an accidentally empty
+  // sweep would vacuously pass everything above.
   EXPECT_GT(Proven, 1000u);
+  EXPECT_GT(Refused, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -442,42 +501,63 @@ TEST(TapeMutation, A115NonFiniteConstantFold) {
 }
 
 //===----------------------------------------------------------------------===//
-// Schedule mutations: one corrupted invariant, one finding ID
+// Schedule mutations: one corrupted invariant, one Error finding ID
 //===----------------------------------------------------------------------===//
 
 TEST(ScheduleMutation, BaselineIsClean) {
-  GoodSchedule S;
-  AnalysisReport Report = S.prove();
-  EXPECT_TRUE(Report.Findings.empty()) << Report.toString();
+  ProblemSize Problem;
+  Problem.TimeSteps = 7;
+  const ProblemSize *Problems[] = {nullptr, &Problem};
+  for (auto [HS, Stencil] : {std::pair<long long, const char *>{0, "j2d5pt"},
+                             {128, "j2d5pt"},
+                             {8, "star1d1r"}}) {
+    GoodSchedule S(HS, Stencil);
+    for (const ProblemSize *P : Problems) {
+      AnalysisReport Report = S.prove(P);
+      EXPECT_TRUE(Report.Findings.empty())
+          << Stencil << " " << S.IR.Config.toString() << ": "
+          << Report.toString();
+    }
+  }
 }
 
-TEST(ScheduleMutation, A201StreamLoadsPastAllocation) {
+TEST(ScheduleMutation, A201GridHaloRaisedPastAllocation) {
   GoodSchedule S;
   S.mutateShared([](long long &GridHalo, long long &, int &,
                     ScheduleHaloPolicy &) { GridHalo += 1; });
-  AnalysisReport Report = S.prove();
-  EXPECT_TRUE(Report.hasFinding("AN5D-A201")) << Report.toString();
-  EXPECT_FALSE(Report.proven());
+  EXPECT_TRUE(hasError(S.prove(), "AN5D-A201"));
 }
 
 TEST(ScheduleMutation, A202BlockedLoadsPastAllocation) {
   GoodSchedule S;
   S.mutateShared([](long long &, long long &, int &Radius,
                     ScheduleHaloPolicy &) { Radius += 1; });
-  AnalysisReport Report = S.prove();
-  EXPECT_TRUE(Report.hasFinding("AN5D-A202")) << Report.toString();
-  EXPECT_FALSE(Report.proven());
+  EXPECT_TRUE(hasError(S.prove(), "AN5D-A202"));
 }
 
-TEST(ScheduleMutation, A203GridHaloBelowStreamTaps) {
+TEST(ScheduleMutation, A203GridHaloBelowTaps) {
   GoodSchedule S;
   S.mutateShared([](long long &GridHalo, long long &, int &,
                     ScheduleHaloPolicy &) { GridHalo = 0; });
   AnalysisReport Report = S.prove();
-  EXPECT_TRUE(Report.hasFinding("AN5D-A203")) << Report.toString();
+  EXPECT_TRUE(hasError(Report, "AN5D-A203"));
   EXPECT_FALSE(Report.hasFinding("AN5D-A201"))
       << "shrunk halo stays inside the allocation";
-  EXPECT_FALSE(Report.proven());
+  // Both the stream axis and the blocked axis carry radius-1 taps.
+  std::size_t Axes = 0;
+  for (const AnalysisFinding &F : Report.Findings)
+    Axes += F.Id == "AN5D-A203" && F.Subject.rfind("degree 1 ", 0) == 0;
+  EXPECT_EQ(Axes, 2u) << Report.toString();
+}
+
+TEST(ScheduleMutation, A204RingTooShallowOn1dStream) {
+  GoodSchedule S(/*HS=*/8, "star1d1r");
+  S.mutateShared([](long long &, long long &RingDepth, int &,
+                    ScheduleHaloPolicy &) { RingDepth -= 1; });
+  AnalysisReport Report = S.prove();
+  EXPECT_TRUE(hasError(Report, "AN5D-A204"));
+  for (const AnalysisFinding &F : Report.Findings)
+    EXPECT_EQ(F.Id, "AN5D-A204") << F.toString();
 }
 
 TEST(ScheduleMutation, A204RingTooShallowForLifetime) {
@@ -485,71 +565,94 @@ TEST(ScheduleMutation, A204RingTooShallowForLifetime) {
   S.mutateShared([](long long &, long long &RingDepth, int &,
                     ScheduleHaloPolicy &) { RingDepth -= 1; });
   AnalysisReport Report = S.prove();
-  EXPECT_TRUE(Report.hasFinding("AN5D-A204")) << Report.toString();
-  EXPECT_FALSE(Report.proven());
+  EXPECT_TRUE(hasError(Report, "AN5D-A204"));
+  for (const AnalysisFinding &F : Report.Findings)
+    EXPECT_EQ(F.Id, "AN5D-A204") << F.toString();
 }
 
 TEST(ScheduleMutation, A205ConsumerOutrunsProducer) {
   GoodSchedule S;
-  ASSERT_GE(S.IR.Invocations.size(), 2u);
   S.IR.Invocations[1].Tiers[0].StreamLag = 0;
-  AnalysisReport Report = S.prove();
-  EXPECT_TRUE(Report.hasFinding("AN5D-A205")) << Report.toString();
-  EXPECT_FALSE(Report.proven());
+  EXPECT_TRUE(hasError(S.prove(), "AN5D-A205"));
+}
+
+TEST(ScheduleMutation, A205SwappedStreamLags) {
+  // Tier 2 now runs ahead of tier 1 in the stream: it reads planes its
+  // producer has not written.
+  GoodSchedule S;
+  InvocationSchedule &Inv = S.IR.Invocations[1];
+  std::swap(Inv.Tiers[0].StreamLag, Inv.Tiers[1].StreamLag);
+  EXPECT_TRUE(hasError(S.prove(), "AN5D-A205"));
+}
+
+TEST(ScheduleMutation, A205SwappedWaveOrder) {
+  // Tier 1 now runs after tier 2 within a streaming step, so tier 2's
+  // same-step read of its producer's newest plane breaks.
+  GoodSchedule S;
+  InvocationSchedule &Inv = S.IR.Invocations[1];
+  std::swap(Inv.Tiers[0].OrderPosition, Inv.Tiers[1].OrderPosition);
+  EXPECT_TRUE(hasError(S.prove(), "AN5D-A205"));
 }
 
 TEST(ScheduleMutation, A206RingLaneUnderflow) {
   GoodSchedule S;
-  ASSERT_GE(S.IR.Invocations.size(), 2u);
   S.IR.Invocations[1].LoadSpanHalo -= 1;
-  AnalysisReport Report = S.prove();
-  EXPECT_TRUE(Report.hasFinding("AN5D-A206")) << Report.toString();
-  EXPECT_FALSE(Report.proven());
+  EXPECT_TRUE(hasError(S.prove(), "AN5D-A206"));
 }
 
 TEST(ScheduleMutation, A207RingLaneOverflow) {
   GoodSchedule S;
-  ASSERT_GE(S.IR.Invocations.size(), 2u);
   // Tier 1 needs exactly BS lanes (halo + compute + reach + tap), so any
   // shrink of the loaded span overflows the span's last lanes.
   S.IR.Invocations[1].BS[0] -= 2;
-  AnalysisReport Report = S.prove();
-  EXPECT_TRUE(Report.hasFinding("AN5D-A207")) << Report.toString();
-  EXPECT_FALSE(Report.proven());
+  EXPECT_TRUE(hasError(S.prove(), "AN5D-A207"));
 }
 
 TEST(ScheduleMutation, A208StoreWiderThanCompute) {
   GoodSchedule S;
   S.IR.Invocations[0].StoreWidth[0] += 1;
   AnalysisReport Report = S.prove();
-  EXPECT_TRUE(Report.hasFinding("AN5D-A208")) << Report.toString();
-  EXPECT_FALSE(Report.proven());
-}
-
-TEST(ScheduleMutation, A209ChunkStrideGapIsWarn) {
-  GoodSchedule S(/*HS=*/128);
-  ASSERT_GT(S.IR.Invocations[0].ChunkLength, 0);
-  S.IR.Invocations[0].ChunkStride += 16;
-  AnalysisReport Report = S.prove();
-  EXPECT_TRUE(Report.hasFinding("AN5D-A209")) << Report.toString();
-  EXPECT_TRUE(Report.proven()) << "tiling gaps are advisory, not unsound";
+  EXPECT_TRUE(hasError(Report, "AN5D-A208"));
+  // The extra lane also lands in the neighbouring block's region.
+  EXPECT_TRUE(hasError(Report, "AN5D-A213"));
 }
 
 TEST(ScheduleMutation, A210StructurallyMalformed) {
-  {
-    GoodSchedule S;
-    S.IR.Invocations.clear();
-    AnalysisReport Report = S.prove();
-    EXPECT_TRUE(Report.hasFinding("AN5D-A210")) << Report.toString();
-    EXPECT_FALSE(Report.proven());
-  }
-  {
-    GoodSchedule S;
-    S.IR.Invocations[1].Tiers.pop_back();
-    AnalysisReport Report = S.prove();
-    EXPECT_TRUE(Report.hasFinding("AN5D-A210")) << Report.toString();
-    EXPECT_FALSE(Report.proven());
-  }
+  GoodSchedule S;
+  S.IR.Invocations.clear();
+  EXPECT_TRUE(hasError(S.prove(), "AN5D-A210"));
+}
+
+TEST(ScheduleMutation, A210NonPositiveTemporalDegree) {
+  GoodSchedule S(/*HS=*/0, "j2d5pt", /*BT=*/0);
+  EXPECT_TRUE(S.IR.Invocations.empty());
+  EXPECT_TRUE(hasError(S.prove(), "AN5D-A210"));
+}
+
+TEST(ScheduleMutation, A210MissingTier) {
+  GoodSchedule S; // degree 2, two tiers
+  S.IR.Invocations[1].Tiers.pop_back();
+  EXPECT_TRUE(hasError(S.prove(), "AN5D-A210"));
+}
+
+TEST(ScheduleMutation, A210BlockedAxisArity) {
+  // A 1D stream has no blocked axes.
+  GoodSchedule S(/*HS=*/8, "star1d1r");
+  S.IR.Invocations[1].BS.push_back(10);
+  AnalysisReport Report = S.prove();
+  EXPECT_TRUE(hasError(Report, "AN5D-A210"));
+  EXPECT_EQ(Report.Findings.size(), 1u) << Report.toString();
+}
+
+TEST(ScheduleMutation, A210MissingBlockedAxis) {
+  // A 2D stencil needs one blocked dimension.
+  auto P = makeBenchmarkStencil("j2d5pt", ScalarType::Float);
+  BlockConfig C;
+  C.BT = 2;
+  C.HS = 128;
+  AnalysisReport Report;
+  proveSchedule(lowerSchedule(*P, C), P->radius(), nullptr, Report);
+  EXPECT_TRUE(hasError(Report, "AN5D-A210"));
 }
 
 TEST(ScheduleMutation, A211HaloPolicyContradictsShape) {
@@ -558,9 +661,190 @@ TEST(ScheduleMutation, A211HaloPolicyContradictsShape) {
                     ScheduleHaloPolicy &Policy) {
     Policy = ScheduleHaloPolicy::PinBoundaryOnly;
   });
+  EXPECT_TRUE(hasError(S.prove(), "AN5D-A211"));
+}
+
+TEST(ScheduleMutation, A212ShrunkTierReach) {
+  // Degree 2: tier 1 reach = rad. Tier 2's taps now escape tier 1's
+  // valid region on the blocked and the streaming axis.
+  GoodSchedule S;
+  S.IR.Invocations[1].Tiers[0].Reach -= 1;
   AnalysisReport Report = S.prove();
-  EXPECT_TRUE(Report.hasFinding("AN5D-A211")) << Report.toString();
-  EXPECT_FALSE(Report.proven());
+  EXPECT_TRUE(hasError(Report, "AN5D-A212"));
+  for (const AnalysisFinding &F : Report.Findings)
+    EXPECT_EQ(F.Id, "AN5D-A212") << F.toString();
+}
+
+TEST(ScheduleMutation, A212ShrunkTierReachOn1dStream) {
+  // With no blocked axis, tier 2's taps escape tier 1's valid region on
+  // the stream axis alone.
+  GoodSchedule S(/*HS=*/8, "star1d1r");
+  S.IR.Invocations[1].Tiers[0].Reach -= 1;
+  AnalysisReport Report = S.prove();
+  EXPECT_TRUE(hasError(Report, "AN5D-A212"));
+  for (const AnalysisFinding &F : Report.Findings)
+    EXPECT_EQ(F.Subject, "degree 2 tier 2 stream axis") << F.toString();
+}
+
+TEST(ScheduleMutation, A212ShrunkLoadStreamReach) {
+  // Tier 1 reads stream planes the tier-0 load no longer covers.
+  GoodSchedule S;
+  S.IR.Invocations[1].LoadStreamReach -= 1;
+  AnalysisReport Report = S.prove();
+  EXPECT_TRUE(hasError(Report, "AN5D-A212"));
+  ASSERT_EQ(Report.Findings.size(), 1u) << Report.toString();
+  EXPECT_EQ(Report.Findings.front().Subject, "degree 2 tier 1 stream axis");
+}
+
+TEST(ScheduleMutation, A213OverlappingBlocks) {
+  GoodSchedule S;
+  --S.IR.Invocations[1].BlockStride[0];
+  AnalysisReport Report = S.prove();
+  EXPECT_TRUE(hasError(Report, "AN5D-A213"));
+  ASSERT_EQ(Report.Findings.size(), 1u) << Report.toString();
+  EXPECT_EQ(Report.Findings.front().Subject, "degree 2 axis 1");
+}
+
+TEST(ScheduleMutation, A213OverlappingBlocksOnSecondBlockedAxis) {
+  GoodSchedule S(/*HS=*/0, "star3d1r");
+  --S.IR.Invocations[1].BlockStride[1];
+  AnalysisReport Report = S.prove();
+  EXPECT_TRUE(hasError(Report, "AN5D-A213"));
+  ASSERT_EQ(Report.Findings.size(), 1u) << Report.toString();
+  EXPECT_EQ(Report.Findings.front().Subject, "degree 2 axis 2");
+}
+
+TEST(ScheduleMutation, A213OverlappingChunks) {
+  GoodSchedule S(/*HS=*/8, "star1d1r");
+  --S.IR.Invocations[0].ChunkStride;
+  AnalysisReport Report = S.prove();
+  EXPECT_TRUE(hasError(Report, "AN5D-A213"));
+  ASSERT_EQ(Report.Findings.size(), 1u) << Report.toString();
+  EXPECT_EQ(Report.Findings.front().Subject, "degree 1 stream axis");
+}
+
+TEST(ScheduleMutation, A214StretchedBlockStride) {
+  GoodSchedule S;
+  ++S.IR.Invocations[1].BlockStride[0];
+  AnalysisReport Report = S.prove();
+  EXPECT_TRUE(hasError(Report, "AN5D-A214"));
+  EXPECT_EQ(Report.Findings.size(), 1u) << Report.toString();
+}
+
+TEST(ScheduleMutation, A214StretchedBlockStrideOnSecondBlockedAxis) {
+  GoodSchedule S(/*HS=*/0, "star3d1r");
+  ++S.IR.Invocations[1].BlockStride[1];
+  AnalysisReport Report = S.prove();
+  EXPECT_TRUE(hasError(Report, "AN5D-A214"));
+  ASSERT_EQ(Report.Findings.size(), 1u) << Report.toString();
+  EXPECT_EQ(Report.Findings.front().Subject, "degree 2 axis 2");
+}
+
+TEST(ScheduleMutation, A214StretchedChunkStride) {
+  GoodSchedule S(/*HS=*/128);
+  ASSERT_GT(S.IR.Invocations[0].ChunkLength, 0);
+  S.IR.Invocations[0].ChunkStride += 16;
+  AnalysisReport Report = S.prove();
+  EXPECT_TRUE(hasError(Report, "AN5D-A214"));
+  EXPECT_EQ(Report.Findings.size(), 1u) << Report.toString();
+}
+
+TEST(ScheduleMutation, A214StretchedChunkStrideOn1dStream) {
+  GoodSchedule S(/*HS=*/8, "star1d1r");
+  ++S.IR.Invocations[0].ChunkStride;
+  AnalysisReport Report = S.prove();
+  EXPECT_TRUE(hasError(Report, "AN5D-A214"));
+  ASSERT_EQ(Report.Findings.size(), 1u) << Report.toString();
+  EXPECT_EQ(Report.Findings.front().Subject, "degree 1 stream axis");
+}
+
+TEST(ScheduleMutation, A215HostScheduleNeedsEveryIssuedDegree) {
+  // Five steps at bT=2 run as degrees {2, 2, 1}: the degree-2
+  // invocation is required.
+  GoodSchedule S;
+  ProblemSize Problem;
+  Problem.TimeSteps = 5;
+  S.IR.Invocations.pop_back();
+  EXPECT_TRUE(S.prove().Findings.empty()) << "no problem, no host check";
+  AnalysisReport Report = S.prove(&Problem);
+  EXPECT_TRUE(hasError(Report, "AN5D-A215"));
+  EXPECT_EQ(Report.Findings.size(), 1u) << Report.toString();
+  EXPECT_FALSE(verifyScheduleIR(S.IR, &Problem).proven());
+}
+
+TEST(ScheduleMutation, A215HostScheduleIsProvenForRealProblems) {
+  auto P = makeJacobi2d5pt(ScalarType::Float);
+  BlockConfig C;
+  C.BT = 4;
+  C.BS = {128};
+  C.HS = 256;
+  ProblemSize Problem;
+  Problem.Extents = {512, 512};
+  Problem.TimeSteps = 1000;
+  ScheduleVerifyResult Verdict = verifyScheduleIR(lowerSchedule(*P, C),
+                                                  &Problem);
+  EXPECT_TRUE(Verdict.proven())
+      << (Verdict.Violations.empty() ? ""
+                                     : Verdict.Violations.front().toString());
+}
+
+TEST(ScheduleMutation, A216HaloConsumesBlock) {
+  // bS=8 at bT=4, radius 1: 8 - 2*4*1 = 0 lanes left at full degree.
+  GoodSchedule S(/*HS=*/128, "j2d5pt", /*BT=*/4, /*BS=*/8);
+  EXPECT_FALSE(S.IR.Config.isFeasible(S.Program->radius(), INT_MAX));
+  AnalysisReport Report = S.prove();
+  EXPECT_TRUE(hasError(Report, "AN5D-A216"));
+  // Only the full degree overflows (degree 3 leaves width 2), and the
+  // finding names it.
+  for (const AnalysisFinding &F : Report.Findings)
+    EXPECT_EQ(F.Subject, "degree 4 axis 1") << F.toString();
+}
+
+TEST(ScheduleMutation, A216HaloConsumesSecondBlockedAxis) {
+  // bS=64,8 at bT=4, radius 1: only the second blocked axis runs out of
+  // compute lanes, and only at the full degree.
+  auto P = makeBenchmarkStencil("star3d1r", ScalarType::Float);
+  BlockConfig C;
+  C.BT = 4;
+  C.BS = {64, 8};
+  C.HS = 128;
+  EXPECT_FALSE(C.isFeasible(P->radius(), INT_MAX));
+  AnalysisReport Report;
+  proveSchedule(lowerSchedule(*P, C), P->radius(), nullptr, Report);
+  EXPECT_TRUE(hasError(Report, "AN5D-A216"));
+  for (const AnalysisFinding &F : Report.Findings)
+    EXPECT_EQ(F.Subject, "degree 4 axis 2") << F.toString();
+}
+
+TEST(ScheduleVerifier, ViolationsAreTheProversErrorFindings) {
+  // verifyScheduleIR is the standalone entry point: the same findings as
+  // the pass, against an allocation of IR.Radius cells per side.
+  GoodSchedule S;
+  EXPECT_TRUE(verifyScheduleIR(S.IR).proven());
+  S.mutateShared([](long long &, long long &RingDepth, int &,
+                    ScheduleHaloPolicy &) { RingDepth -= 1; });
+  ScheduleVerifyResult Verdict = verifyScheduleIR(S.IR);
+  AnalysisReport Report = S.prove();
+  ASSERT_FALSE(Verdict.proven());
+  ASSERT_EQ(Verdict.Violations.size(), Report.Findings.size());
+  for (std::size_t I = 0; I < Report.Findings.size(); ++I) {
+    const AnalysisFinding &V = Verdict.Violations[I];
+    EXPECT_EQ(V.toString(), Report.Findings[I].toString());
+    EXPECT_EQ(V.Severity, FindingSeverity::Error) << V.toString();
+    EXPECT_EQ(V.Pass, "schedule-prover") << V.toString();
+  }
+}
+
+TEST(ScheduleMutation, FindingRendersAsDiagnostic) {
+  GoodSchedule S;
+  S.mutateShared([](long long &, long long &RingDepth, int &,
+                    ScheduleHaloPolicy &) { RingDepth -= 1; });
+  AnalysisReport Report = S.prove();
+  ASSERT_FALSE(Report.proven());
+  DiagnosticEngine Diags;
+  Report.render(Diags);
+  EXPECT_EQ(Diags.errorCount(), Report.Findings.size());
+  EXPECT_NE(Diags.toString().find("[AN5D-A204]"), std::string::npos);
 }
 
 TEST(SymBoundProof, AffineComparisonNeedsBothTerms) {
@@ -689,9 +973,38 @@ TEST(AnalysisTunerGate, EnumeratedCandidatesAreNeverRejected) {
   Tuner T(GpuSpec::teslaV100());
   TuneOutcome Outcome = T.tune(*P, ProblemSize::paperDefault(2));
   EXPECT_TRUE(Outcome.Feasible);
-  EXPECT_EQ(Outcome.AnalysisRejections, 0u) << Outcome.FirstAnalysisRejection;
-  EXPECT_TRUE(Outcome.FirstAnalysisRejection.empty());
+  EXPECT_EQ(Outcome.VerifierRejections, 0u) << Outcome.FirstRejectionReason;
+  EXPECT_EQ(Outcome.AnalysisRejections, 0u) << Outcome.FirstRejectionReason;
+  EXPECT_TRUE(Outcome.FirstRejectionReason.empty());
+}
+
+TEST(AnalysisTunerGate, EveryBuiltinTunesWithoutRejections) {
+  // The gate proves each candidate against the problem's own host
+  // schedule, at every dimensionality.
+  Tuner T(GpuSpec::teslaV100());
+  for (const std::string &Name : allBuiltinNames()) {
+    auto P = makeBenchmarkStencil(Name, ScalarType::Float);
+    TuneOutcome Outcome = T.tune(*P, ProblemSize::paperDefault(P->numDims()));
+    EXPECT_TRUE(Outcome.Feasible) << Name;
+    EXPECT_EQ(Outcome.VerifierRejections + Outcome.AnalysisRejections, 0u)
+        << Name << ": " << Outcome.FirstRejectionReason;
+  }
+}
+
+TEST(AnalysisTunerGate, TapeErrorsCountAsAnalysisRejections) {
+  // A[i][j] / 0.0: every candidate's tape fails A111, so the gate refuses
+  // each one before the sweep and books it under the tape family.
+  StencilProgram P("div0", 2, ScalarType::Float, "A",
+                   makeDiv(makeGridRead("A", {0, 0}), makeNumber(0.0)));
+  Tuner T(GpuSpec::teslaV100());
+  TuneOutcome Outcome = T.tune(P, ProblemSize::paperDefault(2));
+  ASSERT_FALSE(Outcome.TopByModel.empty());
+  EXPECT_FALSE(Outcome.Feasible);
+  EXPECT_EQ(Outcome.AnalysisRejections, Outcome.TopByModel.size());
   EXPECT_EQ(Outcome.VerifierRejections, 0u);
+  EXPECT_NE(Outcome.FirstRejectionReason.find("AN5D-A111"),
+            std::string::npos)
+      << Outcome.FirstRejectionReason;
 }
 
 TEST(AnalysisTunerGate, SweepCandidatesCarryResourceFeatures) {

@@ -11,7 +11,8 @@
 ///    acceptance contract of the native backend;
 ///  * KernelCache hit/miss behavior, persistence across cache objects,
 ///    force-recompile, and failure accounting;
-///  * NativeCompiler detection and failure reporting;
+///  * NativeCompiler detection and failure reporting, and the loader's
+///    refusal of libraries that break the an5d_* ABI;
 ///  * the native measured sweep (compile pool + serial timing) and the
 ///    Tuner's Native measurement backend.
 ///
@@ -24,6 +25,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "codegen/CppCodegen.h"
 #include "runtime/KernelCache.h"
 #include "runtime/NativeCompiler.h"
 #include "runtime/NativeExecutor.h"
@@ -35,6 +37,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -282,6 +285,51 @@ TEST(NativeRuntime, RejectsInfeasibleConfiguration) {
                           fastBuildOptions(sharedCacheDir()));
   EXPECT_FALSE(Executor.ok());
   EXPECT_NE(Executor.error().find("infeasible"), std::string::npos);
+}
+
+// The an5d_* ABI is enforced where a violation bites: when a library is
+// loaded. A library sitting in a kernel's cache slot that does not export
+// an5d_run, or that reports a foreign ABI version, is refused with a
+// specific error instead of being called.
+TEST(NativeRuntime, LoadRejectsLibrariesBreakingTheAbi) {
+  auto Program = makeBenchmarkStencil("j2d5pt", ScalarType::Float);
+  const ScheduleIR Schedule = lowerSchedule(*Program, testConfig(*Program));
+  const std::string Source = generateCppKernelLibrary(*Program, Schedule);
+  struct {
+    const char *Tag, *From, *To, *Error;
+  } Cases[] = {
+      {"no-run", "int an5d_run(", "int an5d_run_renamed(",
+       "does not export the an5d_* ABI"},
+      {"abi-7", "an5d_abi_version(void) { return 1; }",
+       "an5d_abi_version(void) { return 7; }", "ABI version 7"},
+  };
+  for (const auto &Case : Cases) {
+    std::string Broken = Source;
+    const std::size_t Pos = Broken.find(Case.From);
+    ASSERT_NE(Pos, std::string::npos) << Case.From;
+    Broken.replace(Pos, std::strlen(Case.From), Case.To);
+
+    // Build the broken library, then plant it in the cache slot of the
+    // well-formed source the executor generates.
+    NativeRuntimeOptions Options =
+        fastBuildOptions(freshCacheDir(std::string("abi-") + Case.Tag));
+    NativeCompiler Compiler(Options.Compiler);
+    KernelCache Cache(Options.CacheDir);
+    KernelArtifact Bad =
+        Cache.getOrBuild(Broken, Compiler, Options.ExtraCompileFlags);
+    ASSERT_TRUE(Bad.Ok) << Bad.Log;
+    const std::string Slot =
+        Options.CacheDir + "/an5d_" +
+        KernelCache::hashKey(Source,
+                             Compiler.fingerprint(Options.ExtraCompileFlags)) +
+        ".so";
+    std::filesystem::copy_file(Bad.LibraryPath, Slot);
+
+    NativeExecutor Executor(*Program, Schedule, Options, &Cache);
+    EXPECT_FALSE(Executor.ok()) << Case.Tag;
+    EXPECT_NE(Executor.error().find(Case.Error), std::string::npos)
+        << Case.Tag << ": " << Executor.error();
+  }
 }
 
 TEST(NativeRuntime, ReportsMissingCompiler) {

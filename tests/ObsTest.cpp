@@ -355,8 +355,6 @@ TEST(MetricsTest, JsonExportIncludesSpanAggregatesWhenAsked) {
 
 TEST(MetricsTest, FailureKindRenderersMatchTheGlossary) {
   EXPECT_STREQ(measureFailureKindLabel(MeasureFailureKind::None), "");
-  EXPECT_STREQ(measureFailureKindLabel(MeasureFailureKind::VerifierRejected),
-               "verifier_rejected");
   EXPECT_STREQ(measureFailureKindLabel(MeasureFailureKind::BuildFailed),
                "build_failed");
   EXPECT_STREQ(measureFailureKindLabel(MeasureFailureKind::NeverBuilt),
@@ -368,8 +366,8 @@ TEST(MetricsTest, FailureKindRenderersMatchTheGlossary) {
   const std::vector<std::string> &Known = obs::knownMetricNames();
   EXPECT_TRUE(std::is_sorted(Known.begin(), Known.end()));
   for (MeasureFailureKind Kind :
-       {MeasureFailureKind::VerifierRejected, MeasureFailureKind::BuildFailed,
-        MeasureFailureKind::NeverBuilt, MeasureFailureKind::RunRejected})
+       {MeasureFailureKind::BuildFailed, MeasureFailureKind::NeverBuilt,
+        MeasureFailureKind::RunRejected})
     EXPECT_NE(std::find(Known.begin(), Known.end(),
                         measureFailureMetricName(Kind)),
               Known.end())
@@ -392,8 +390,8 @@ TuneOptions nativeTuneOptions(const std::string &CacheDir) {
 long long sumOfFailureCounters(const obs::MetricsRegistry &Registry) {
   long long Sum = 0;
   for (MeasureFailureKind Kind :
-       {MeasureFailureKind::VerifierRejected, MeasureFailureKind::BuildFailed,
-        MeasureFailureKind::NeverBuilt, MeasureFailureKind::RunRejected})
+       {MeasureFailureKind::BuildFailed, MeasureFailureKind::NeverBuilt,
+        MeasureFailureKind::RunRejected})
     Sum += Registry.counterValue(measureFailureMetricName(Kind));
   return Sum;
 }

@@ -37,20 +37,19 @@
 ///                        and to --run-native
 ///   --print-stencil      show the detected stencil and classification
 ///   --print-model        show the roofline breakdown for the configuration
-///   --verify-schedule    statically prove the configuration's schedule
-///                        safe (halo coverage, ring depth, wavefront
-///                        order, OpenMP write-set disjointness) without
-///                        compiling anything; non-zero exit on violation
 ///   --lint               lint the generated kernel-library and
-///                        check-program sources (ABI symbols, exact-float
-///                        literals, banned calls, restrict qualifiers)
-///                        and lint every JIT kernel before compiling it
+///                        check-program sources (exact-float literals,
+///                        banned calls, restrict qualifiers) and lint
+///                        every JIT kernel before compiling it
 ///   --analyze FILE       run the static analysis passes (tape verifier,
-///                        access-bounds prover, resource estimator) over
-///                        the configuration's lowered schedule and write
-///                        the an5d-analysis-v1 JSON report (findings +
-///                        resource estimates) to FILE ('-' = stdout);
-///                        non-zero exit on Error-severity findings
+///                        schedule prover, resource estimator) over the
+///                        configuration's lowered schedule — halo
+///                        coverage, ring depth, wavefront order, write-set
+///                        disjointness and the host time-block schedule
+///                        of the problem's step count — without compiling
+///                        anything, and write the an5d-analysis-v1 JSON
+///                        report (findings + resource estimates) to FILE
+///                        ('-' = stdout); non-zero exit on Error findings
 ///   --emit-cuda DIR      write <kernel>.cu and <kernel>_host.cpp to DIR
 ///   --emit-check DIR     write the self-checking portable C++ program
 ///   --emit-omp DIR       write the callable OpenMP kernel library source
@@ -73,7 +72,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/KernelLint.h"
-#include "analysis/ScheduleVerifier.h"
 #include "analysis/passes/AnalysisPass.h"
 #include "analysis/passes/ResourceEstimator.h"
 #include "codegen/CppCodegen.h"
@@ -131,7 +129,6 @@ struct CliOptions {
   bool DivToMul = false;
   bool Verify = false;
   bool VerifyNative = false;
-  bool VerifySchedule = false;
   bool Lint = false;
   std::string AnalyzePath; ///< --analyze; empty = off, "-" = stdout
   bool RunNative = false;
@@ -157,7 +154,7 @@ void printUsage() {
       "  --tune-threads N --tune-topk N --measure simulated|native\n"
       "  --measure-threads N --measure-repeats N\n"
       "  --print-stencil --print-model --report --verify\n"
-      "  --verify-native --verify-schedule --lint --analyze FILE\n"
+      "  --verify-native --lint --analyze FILE\n"
       "  --run-native --kernel-cache DIR\n"
       "  --trace FILE --metrics FILE --obs-summary\n"
       "  --simplify --div-to-mul\n"
@@ -320,8 +317,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Options) {
       Options.ObsSummary = true;
     } else if (Arg == "--verify-native") {
       Options.VerifyNative = true;
-    } else if (Arg == "--verify-schedule") {
-      Options.VerifySchedule = true;
     } else if (Arg == "--lint") {
       Options.Lint = true;
       Options.NativeOpts.LintKernels = true;
@@ -742,33 +737,20 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  if (Options.VerifySchedule) {
-    // Static proof over every temporal degree the host schedule can
-    // issue, plus the Section 4.3.1 host-schedule postconditions for the
-    // problem's step count. Nothing is compiled or executed.
-    ScheduleVerifyResult Verdict = verifySchedule(*Program, Config,
-                                                  &Problem);
-    if (Verdict.proven()) {
-      std::printf("verify-schedule (%s): proven safe (%d degree(s): halo "
-                  "coverage, ring depth, wave order, write-set "
-                  "disjointness)\n",
-                  Config.toString().c_str(), Verdict.DegreesChecked);
-    } else {
-      std::fprintf(stderr, "an5dc: schedule verification failed for %s:\n%s",
-                   Config.toString().c_str(), Verdict.toString().c_str());
-      return 1;
-    }
-  }
+  // Lowered once: the analysis report, the lint pass and the CUDA and
+  // OpenMP emitters all render this one schedule.
+  const ScheduleIR Lowered = lowerSchedule(*Program, Config);
 
   if (!Options.AnalyzePath.empty()) {
-    // The dataflow pass pipeline over the lowered schedule, plus the
-    // per-candidate resource estimate, as one machine-readable report.
-    // Error-severity findings fail the invocation after the report is
-    // written — the artifact is the point, reviewers read it either way.
-    ScheduleIR Lowered = lowerSchedule(*Program, Config);
+    // The pre-JIT gate the tuner runs (including the host time-block
+    // schedule of the problem's step count), plus the resource estimate,
+    // as one machine-readable report. Error-severity findings fail the
+    // invocation after the report is written — the artifact is the
+    // point, and it is read either way.
     AnalysisInput PassInput;
     PassInput.Program = Program.get();
     PassInput.Schedule = &Lowered;
+    PassInput.Problem = &Problem;
     AnalysisReport Analysis =
         AnalysisPassManager::standardPipeline().run(PassInput);
     ResourceEstimate Resources = estimateResources(*Program, Lowered);
@@ -777,6 +759,8 @@ int main(int Argc, char **Argv) {
     obs::appendJsonString(Json, Program->name());
     Json += ",\"config\":";
     obs::appendJsonString(Json, Config.toString());
+    Json += ",\"degrees\":" + std::to_string(Lowered.Invocations.size());
+    Json += ",\"time_steps\":" + std::to_string(Problem.TimeSteps);
     Json += ",\"errors\":" + std::to_string(Analysis.errorCount());
     Json += ",\"warnings\":" + std::to_string(Analysis.countBySeverity(
                                    FindingSeverity::Warn));
@@ -827,7 +811,7 @@ int main(int Argc, char **Argv) {
         Clean = false;
       }
     };
-    LintOne(generateCppKernelLibrary(*Program, Config),
+    LintOne(generateCppKernelLibrary(*Program, Lowered),
             LintTarget::KernelLibrary, "kernel library");
     ProblemSize CheckSize;
     CheckSize.Extents = Program->numDims() == 1
@@ -837,7 +821,9 @@ int main(int Argc, char **Argv) {
                             : std::vector<long long>{14, 12, 11};
     CheckSize.TimeSteps = 11;
     LintOne(generateCppCheckProgram(
-                *Program, verificationConfig(*Program, Config), CheckSize),
+                *Program,
+                lowerSchedule(*Program, verificationConfig(*Program, Config)),
+                CheckSize),
             LintTarget::CheckProgram, "check program");
     if (!Clean)
       return 1;
@@ -870,7 +856,7 @@ int main(int Argc, char **Argv) {
 
   if (!Options.EmitCudaDir.empty()) {
     std::filesystem::create_directories(Options.EmitCudaDir);
-    GeneratedCuda Cuda = generateCuda(*Program, Config, Options.Codegen);
+    GeneratedCuda Cuda = generateCuda(*Program, Lowered, Options.Codegen);
     std::string Base = Options.EmitCudaDir + "/" + Cuda.KernelName;
     std::ofstream(Base + ".cu") << Cuda.KernelSource;
     std::ofstream(Base + "_host.cpp") << Cuda.HostSource;
@@ -899,8 +885,8 @@ int main(int Argc, char **Argv) {
     CheckSize.TimeSteps = 11;
     std::string Path = Options.EmitCheckDir + "/" +
                        Program->name() + "_check.cpp";
-    std::ofstream(Path) << generateCppCheckProgram(*Program, Small,
-                                                   CheckSize);
+    std::ofstream(Path) << generateCppCheckProgram(
+        *Program, lowerSchedule(*Program, Small), CheckSize);
     std::printf("wrote %s\n", Path.c_str());
   }
 
@@ -908,7 +894,7 @@ int main(int Argc, char **Argv) {
     std::filesystem::create_directories(Options.EmitOmpDir);
     std::string Path =
         Options.EmitOmpDir + "/" + Program->name() + "_omp.cpp";
-    std::ofstream(Path) << generateCppKernelLibrary(*Program, Config);
+    std::ofstream(Path) << generateCppKernelLibrary(*Program, Lowered);
     std::printf("wrote %s (callable kernel library, an5d_run ABI)\n",
                 Path.c_str());
   }
