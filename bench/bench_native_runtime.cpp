@@ -82,15 +82,31 @@ Scenario makeScenario(const std::string &Name,
   return S;
 }
 
+/// The two ping-pong buffers of a run plus the pristine fill they start
+/// from. Every timed run begins with reset(), outside its timed region,
+/// so no run times data an earlier run has decayed (j2d5pt shrinks its
+/// values by 0.42 per step and turns float grids subnormal after about
+/// 100 steps, which slows a run by up to 20x).
+template <typename T> struct RunBuffers {
+  Grid<T> Pristine, A, B;
+  explicit RunBuffers(const Scenario &S)
+      : Pristine(S.Extents, S.Program->radius()), A(Pristine), B(Pristine) {
+    fillGridDeterministic(Pristine, 1);
+  }
+  void reset() {
+    copyGrid(Pristine, A);
+    copyGrid(Pristine, B);
+  }
+};
+
 /// Best-of-3 wall time of one tape-emulator run, for the ratio counter.
 template <typename T> double timeTapeNs(const Scenario &S) {
-  Grid<T> A(S.Extents, S.Program->radius()), B(A);
-  fillGridDeterministic(A, 1);
-  copyGrid(A, B);
+  RunBuffers<T> Bufs(S);
   double Best = 0;
   for (int Rep = 0; Rep < 3; ++Rep) {
+    Bufs.reset();
     auto Start = std::chrono::steady_clock::now();
-    blockedRun<T>(*S.Program, S.Config, {&A, &B}, S.Steps);
+    blockedRun<T>(*S.Program, S.Config, {&Bufs.A, &Bufs.B}, S.Steps);
     auto End = std::chrono::steady_clock::now();
     double Ns =
         std::chrono::duration<double, std::nano>(End - Start).count();
@@ -103,12 +119,13 @@ template <typename T>
 void runTapeBench(benchmark::State &State, const std::string &Name,
                   ScalarType Type) {
   Scenario S = makeScenario(Name, Type);
-  Grid<T> A(S.Extents, S.Program->radius()), B(A);
-  fillGridDeterministic(A, 1);
-  copyGrid(A, B);
+  RunBuffers<T> Bufs(S);
   for (auto _ : State) {
-    blockedRun<T>(*S.Program, S.Config, {&A, &B}, S.Steps);
-    benchmark::DoNotOptimize(A.raw().data());
+    State.PauseTiming();
+    Bufs.reset();
+    State.ResumeTiming();
+    blockedRun<T>(*S.Program, S.Config, {&Bufs.A, &Bufs.B}, S.Steps);
+    benchmark::DoNotOptimize(Bufs.A.raw().data());
   }
   State.SetItemsProcessed(State.iterations() * cellSteps(S.Extents, S.Steps));
 }
@@ -128,12 +145,13 @@ void runNativeBench(benchmark::State &State, const std::string &Name,
     State.SkipWithError(Executor.error().c_str());
     return;
   }
-  Grid<T> A(S.Extents, S.Program->radius()), B(A);
-  fillGridDeterministic(A, 1);
-  copyGrid(A, B);
+  RunBuffers<T> Bufs(S);
   for (auto _ : State) {
-    Executor.run<T>({&A, &B}, S.Steps);
-    benchmark::DoNotOptimize(A.raw().data());
+    State.PauseTiming();
+    Bufs.reset();
+    State.ResumeTiming();
+    Executor.run<T>({&Bufs.A, &Bufs.B}, S.Steps);
+    benchmark::DoNotOptimize(Bufs.A.raw().data());
   }
   State.SetItemsProcessed(State.iterations() * cellSteps(S.Extents, S.Steps));
   State.counters["kernel_threads"] =
@@ -141,8 +159,9 @@ void runNativeBench(benchmark::State &State, const std::string &Name,
   // Live ratio against the tape emulator: benchmark reports per-iteration
   // time only after the fact, so time one more native run by hand.
   double TapeNs = timeTapeNs<T>(S);
+  Bufs.reset();
   auto Start = std::chrono::steady_clock::now();
-  Executor.run<T>({&A, &B}, S.Steps);
+  Executor.run<T>({&Bufs.A, &Bufs.B}, S.Steps);
   double NativeNs = std::chrono::duration<double, std::nano>(
                         std::chrono::steady_clock::now() - Start)
                         .count();

@@ -4,13 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Google-benchmark timings of the tuner's measured-sweep stage
-/// (tuning/ParallelSweep.h) at 1/2/4/8 worker threads, over the Table 3 2D
-/// benchmarks plus the 1D streaming path. Each sweep covers the stencil's
-/// whole feasible grid x the four register caps x three problem sizes —
-/// the workload every later scenario sweep (more GPUs, more problem sizes,
-/// more benchmarks) runs on — so these numbers bound how much of the
-/// search space one tuning session can afford.
+/// Google-benchmark timings of the tuner's simulated measured sweep
+/// (parallelMeasuredSweep, tuning/Tuner.h) at 1/2/4/8 worker threads, over
+/// the Table 3 2D benchmarks plus the 1D streaming path. Each sweep covers
+/// the stencil's whole model-ranked grid (not just the tuner's top-K) x
+/// RegisterCapMenu at the paper's problem size, so these numbers bound how
+/// much of the search space one tuning session can afford.
 ///
 /// The serial stage is timed once up front (best of 3) and every parallel
 /// case reports the live ratio as the "sweep_speedup_x" counter; the
@@ -22,12 +21,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "stencils/Benchmarks.h"
-#include "tuning/ParallelSweep.h"
 #include "tuning/Tuner.h"
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -36,29 +35,29 @@ using namespace an5d;
 
 namespace {
 
-/// Problem sizes swept per stencil: the paper's evaluation size plus two
-/// smaller squares (quarter and sixteenth area).
-std::vector<ProblemSize> sweepProblems(int NumDims) {
-  std::vector<ProblemSize> Problems;
-  Problems.push_back(ProblemSize::paperDefault(NumDims));
-  for (int Shrink : {2, 4}) {
-    ProblemSize Smaller = ProblemSize::paperDefault(NumDims);
-    for (long long &E : Smaller.Extents)
-      E /= Shrink;
-    Problems.push_back(std::move(Smaller));
-  }
-  return Problems;
+/// Every model-ranked configuration of the grid x RegisterCapMenu.
+std::vector<BlockConfig> fullGridConfigs(const StencilProgram &Program,
+                                         const Tuner &T,
+                                         const ProblemSize &Problem) {
+  std::vector<BlockConfig> Configs;
+  for (const RankedConfig &Ranked : T.rankByModel(
+           Program, Problem, std::numeric_limits<std::size_t>::max()))
+    for (int Cap : RegisterCapMenu) {
+      Configs.push_back(Ranked.Config);
+      Configs.back().RegisterCap = Cap;
+    }
+  return Configs;
 }
 
 /// Best-of-3 wall time of one serial sweep, for the speedup counter.
 double timeSerialSweepNs(const StencilProgram &Program, const GpuSpec &Spec,
-                         const std::vector<SweepCandidate> &Candidates,
-                         const std::vector<ProblemSize> &Problems) {
+                         const std::vector<BlockConfig> &Configs,
+                         const ProblemSize &Problem) {
   double Best = 0;
   for (int Rep = 0; Rep < 3; ++Rep) {
     auto Start = std::chrono::steady_clock::now();
     auto Results =
-        parallelMeasuredSweep(Program, Spec, Candidates, Problems, 1);
+        parallelMeasuredSweep(Program, Spec, Configs, Problem, 1);
     benchmark::DoNotOptimize(Results.data());
     double Ns = static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -75,11 +74,8 @@ void runSweepBench(benchmark::State &State, const std::string &Name) {
   auto Program = makeBenchmarkStencil(Name, ScalarType::Float);
   GpuSpec Spec = GpuSpec::teslaV100();
   Tuner T(Spec);
-  std::vector<ProblemSize> Problems = sweepProblems(Program->numDims());
-  // The full measured workload: every feasible grid point (not just the
-  // top-K) x register caps x problem sizes.
-  std::vector<SweepCandidate> Candidates =
-      T.enumerateSweepCandidates(*Program, Problems.size());
+  ProblemSize Problem = ProblemSize::paperDefault(Program->numDims());
+  std::vector<BlockConfig> Configs = fullGridConfigs(*Program, T, Problem);
 
   // The serial baseline is identical for every thread-count case of one
   // stencil; time it once and share it across the Args (benchmark cases
@@ -88,8 +84,8 @@ void runSweepBench(benchmark::State &State, const std::string &Name) {
   auto Cached = SerialNsByName.find(Name);
   if (Cached == SerialNsByName.end())
     Cached = SerialNsByName
-                 .emplace(Name, timeSerialSweepNs(*Program, Spec, Candidates,
-                                                  Problems))
+                 .emplace(Name, timeSerialSweepNs(*Program, Spec, Configs,
+                                                  Problem))
                  .first;
   double SerialNs = Cached->second;
 
@@ -97,16 +93,16 @@ void runSweepBench(benchmark::State &State, const std::string &Name) {
   for (auto _ : State) {
     auto Start = std::chrono::steady_clock::now();
     auto Results =
-        parallelMeasuredSweep(*Program, Spec, Candidates, Problems, Threads);
+        parallelMeasuredSweep(*Program, Spec, Configs, Problem, Threads);
     auto End = std::chrono::steady_clock::now();
     SweepNs += std::chrono::duration<double, std::nano>(End - Start).count();
     benchmark::DoNotOptimize(Results.data());
   }
 
   State.SetItemsProcessed(State.iterations() *
-                          static_cast<long long>(Candidates.size()));
+                          static_cast<long long>(Configs.size()));
   State.counters["candidates"] =
-      benchmark::Counter(static_cast<double>(Candidates.size()));
+      benchmark::Counter(static_cast<double>(Configs.size()));
   State.counters["threads"] =
       benchmark::Counter(static_cast<double>(Threads));
   State.counters["serial_ms"] = benchmark::Counter(SerialNs / 1e6);

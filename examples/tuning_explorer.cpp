@@ -17,8 +17,7 @@
 
 #include "sim/MeasuredSimulator.h"
 #include "stencils/Benchmarks.h"
-#include "support/StringUtils.h"
-#include "tuning/ParallelSweep.h"
+#include "support/ParallelFor.h"
 #include "tuning/Tuner.h"
 
 #include <cstdio>
@@ -83,7 +82,7 @@ int main(int argc, char **argv) {
   }
   std::printf("\nmeasured sweep: top-%zu x %zu register caps on %d "
               "thread(s)\n",
-              Tuning.TopK, Tuning.RegisterCaps.size(),
+              Tuning.TopK, RegisterCapMenu.size(),
               resolveSweepThreads(Tuning.Threads));
   std::printf("\ntuned pick: %s\n  model %.0f GFLOP/s -> simulated "
               "measurement %.0f GFLOP/s (accuracy %.0f%%)\n",

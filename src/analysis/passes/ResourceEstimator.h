@@ -11,9 +11,10 @@
 /// load redundancy of the overlapped tiling, and the resulting arithmetic
 /// intensity. These are the paper's statically knowable facts — the
 /// degree-vs-register-pressure tradeoff made explicit — surfaced three
-/// ways: as SweepCandidate features the tuner records, as PerformanceModel
-/// inputs (registers/thread and smem/block feed the occupancy term), and
-/// as the `resources` object of the `an5dc --analyze` JSON report.
+/// ways: graded by ResourceEstimatorPass inside the tuner's pre-JIT gate,
+/// as PerformanceModel inputs (estimateOccupancy: registers/thread and
+/// smem/block feed the occupancy term of every ranked candidate), and as
+/// the `resources` object of the `an5dc --analyze` JSON report.
 ///
 /// Estimation never rejects; the companion pass grades the estimate:
 ///
@@ -75,8 +76,8 @@ struct ResourceEstimate {
   double ArithmeticIntensity = 0;
 };
 
-/// Estimates off an already-lowered \p IR (the tuner path: the IR exists
-/// for the pre-JIT gate anyway, so nothing is re-lowered).
+/// Estimates off an already-lowered \p IR (the pass and an5dc path: the
+/// IR exists for the schedule proof anyway, so nothing is re-lowered).
 ResourceEstimate estimateResources(const StencilProgram &Program,
                                    const ScheduleIR &IR);
 

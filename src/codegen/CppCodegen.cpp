@@ -34,7 +34,12 @@ static std::string emitUpdateExpr(const StencilProgram &Program,
 }
 
 /// Common prelude: includes, constants, indexing, evalCell, schedule.
-/// Every schedule constant is read off the lowered IR, never re-derived.
+/// Only RAD, BT, BS* and HS are read off the lowered IR. The emitted code
+/// re-derives the rest of the schedule instead of rendering the IR's
+/// invocations: the runInvocation bodies recompute the compute width,
+/// tier reach, stream lag, load reach and ring depth from BT, RAD and
+/// `degree`, and `schedule()` below re-implements the host time-block
+/// schedule.
 static std::string emitPrelude(const StencilProgram &Program,
                                const ScheduleIR &IR,
                                const ProblemSize *Problem, CppEmitMode Mode) {

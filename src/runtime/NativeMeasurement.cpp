@@ -9,13 +9,11 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "sim/Grid.h"
+#include "support/ParallelFor.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cassert>
 #include <chrono>
 #include <limits>
-#include <map>
 #include <memory>
 #include <thread>
 
@@ -39,7 +37,7 @@ ProblemSize nativeMeasurementProblem(int NumDims) {
 template <typename T>
 KernelTiming timeNativeKernel(const NativeExecutor &Executor,
                               const ProblemSize &Problem, int Radius,
-                              int Repeats, int Threads, bool SkipWarmup) {
+                              int Repeats, int Threads) {
   // Pin explicitly: with no request (Threads == 0) pin to the machine's
   // hardware concurrency, not to the kernel's current default — the
   // latter is whatever ambient OMP_NUM_THREADS initialized the pool to,
@@ -71,7 +69,7 @@ KernelTiming timeNativeKernel(const NativeExecutor &Executor,
   Grid<T> Buf0 = Pristine, Buf1 = Pristine;
   double Best = std::numeric_limits<double>::infinity();
   int TimedRepeats = std::max(1, Repeats);
-  for (int Rep = SkipWarmup ? 0 : -1; Rep < TimedRepeats; ++Rep) {
+  for (int Rep = -1; Rep < TimedRepeats; ++Rep) {
     copyGrid(Pristine, Buf0);
     copyGrid(Pristine, Buf1);
     // The span's clock reads happen strictly outside the Start..now
@@ -95,8 +93,7 @@ KernelTiming timeNativeKernel(const NativeExecutor &Executor,
   }
   // Metric bumps live after the timed loop — one batch per call, never
   // inside a measured window.
-  if (!SkipWarmup)
-    obs::count("measure.warmups");
+  obs::count("measure.warmups");
   obs::count("measure.repeats", TimedRepeats);
   if (Best < MinMeasurableSeconds)
     obs::count("measure.clamps");
@@ -108,20 +105,21 @@ KernelTiming timeNativeKernel(const NativeExecutor &Executor,
 
 template KernelTiming timeNativeKernel<float>(const NativeExecutor &,
                                               const ProblemSize &, int, int,
-                                              int, bool);
+                                              int);
 template KernelTiming timeNativeKernel<double>(const NativeExecutor &,
                                                const ProblemSize &, int, int,
-                                               int, bool);
+                                               int);
 
 std::vector<MeasuredResult>
 nativeMeasuredSweep(const StencilProgram &Program,
-                    const std::vector<SweepCandidate> &Candidates,
-                    const std::vector<ProblemSize> &Problems,
-                    const NativeMeasureOptions &Options, KernelCache *Cache) {
-  std::vector<MeasuredResult> Results(Candidates.size());
-  if (Candidates.empty())
+                    const std::vector<ScheduleIR> &Schedules,
+                    const ProblemSize &Problem,
+                    const NativeMeasureOptions &Options, int Threads,
+                    KernelCache *Cache) {
+  std::vector<MeasuredResult> Results(Schedules.size());
+  if (Schedules.empty())
     return Results;
-  obs::count("sweep.candidates", static_cast<long long>(Candidates.size()));
+  obs::count("sweep.candidates", static_cast<long long>(Schedules.size()));
 
   std::unique_ptr<KernelCache> OwnedCache;
   if (!Cache) {
@@ -129,88 +127,29 @@ nativeMeasuredSweep(const StencilProgram &Program,
     Cache = OwnedCache.get();
   }
 
-  // Lower each candidate exactly once (unless the caller — the tuner —
-  // already did and handed the IR down): the kernel codegen and the
-  // timing stage below both consume this one schedule.
-  std::vector<ScheduleIR> Lowered(Candidates.size());
-  std::vector<const ScheduleIR *> Schedules(Candidates.size());
-  for (std::size_t I = 0; I < Candidates.size(); ++I) {
-    // A lowered IR always names its stencil; a default-constructed
-    // SweepCandidate::Schedule does not.
-    if (!Candidates[I].Schedule.StencilName.empty()) {
-      assert(Candidates[I].Schedule.Config.toString() ==
-                 Candidates[I].Config.toString() &&
-             "pre-lowered schedule does not match the candidate config");
-      Schedules[I] = &Candidates[I].Schedule;
-    } else {
-      Lowered[I] = lowerSchedule(Program, Candidates[I].Config);
-      Schedules[I] = &Lowered[I];
-    }
-  }
-
-  // Candidates sharing one configuration — the same top-K config timed
-  // against several problem sizes — share one compiled executor: the
-  // kernel bakes in the configuration, not the extents, so there is
-  // nothing problem-specific to rebuild. Each candidate maps to the slot
-  // of the first candidate with its configuration.
-  std::vector<std::size_t> KernelSlot(Candidates.size());
-  {
-    std::map<std::string, std::size_t> SlotByConfig;
-    for (std::size_t I = 0; I < Candidates.size(); ++I)
-      KernelSlot[I] =
-          SlotByConfig.try_emplace(Candidates[I].Config.toString(), I)
-              .first->second;
-  }
-
-  // Stage 1: compile every unique kernel across the pool. Executors land
-  // in their own pre-allocated slot, so the stage is race-free; the
-  // shared cache deduplicates identical sources (e.g. register-cap
-  // variants) behind its own lock.
-  std::vector<std::unique_ptr<NativeExecutor>> Executors(Candidates.size());
-  std::atomic<std::size_t> NextItem{0};
-  auto Worker = [&]() {
-    for (std::size_t Item;
-         (Item = NextItem.fetch_add(1, std::memory_order_relaxed)) <
-         Candidates.size();) {
-      obs::gaugeSet("sweep.queue_depth",
-                    static_cast<long long>(
-                        Candidates.size() -
-                        std::min(Item + 1, Candidates.size())));
-      if (KernelSlot[Item] != Item)
-        continue; // another slot owns this configuration's kernel
-      obs::TraceSpan Span("sweep.compile");
-      if (Span.active())
-        Span.attr("config", Candidates[Item].Config.toString());
-      Executors[Item] = std::make_unique<NativeExecutor>(
-          Program, *Schedules[Item], Options.Runtime, Cache);
-    }
-  };
-  int NumWorkers = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(resolveSweepThreads(Options.CompileThreads)),
-      Candidates.size()));
-  if (NumWorkers <= 1) {
-    Worker();
-  } else {
-    std::vector<std::thread> Helpers;
-    Helpers.reserve(static_cast<std::size_t>(NumWorkers) - 1);
-    for (int I = 1; I < NumWorkers; ++I)
-      Helpers.emplace_back(Worker);
-    Worker();
-    for (std::thread &Helper : Helpers)
-      Helper.join();
-  }
+  // Stage 1: compile every kernel across the pool. Executors land in
+  // their own pre-allocated slot, so the stage is race-free; the shared
+  // cache deduplicates identical sources (e.g. register-cap variants)
+  // behind its own lock.
+  std::vector<std::unique_ptr<NativeExecutor>> Executors(Schedules.size());
+  parallelFor(Schedules.size(), Threads, [&](std::size_t Item) {
+    obs::gaugeSet("sweep.queue_depth",
+                  static_cast<long long>(Schedules.size() - Item - 1));
+    obs::TraceSpan Span("sweep.compile");
+    if (Span.active())
+      Span.attr("config", Schedules[Item].Config.toString());
+    Executors[Item] = std::make_unique<NativeExecutor>(
+        Program, Schedules[Item], Options.Runtime, Cache);
+  });
 
   // Stage 2: serial timing, one kernel at a time (measurements must not
-  // contend with each other for cores). A shared executor warms up on its
-  // first timed candidate only: the warmup pages in the kernel code and
-  // spins up its thread pool, neither of which depends on the extents, so
-  // later problem sizes of the same kernel skip it.
+  // contend with each other for cores).
   double FlopsPerCell =
       static_cast<double>(Program.flopsPerCell().total());
-  std::vector<bool> Warmed(Candidates.size(), false);
-  for (std::size_t I = 0; I < Candidates.size(); ++I) {
-    std::size_t Slot = KernelSlot[I];
-    NativeExecutor *Executor = Executors[Slot].get();
+  double CellUpdates = static_cast<double>(Problem.cellCount()) *
+                       static_cast<double>(Problem.TimeSteps);
+  for (std::size_t I = 0; I < Schedules.size(); ++I) {
+    NativeExecutor *Executor = Executors[I].get();
     if (!Executor || !Executor->ok()) {
       // Not an infeasible configuration: record why the kernel never ran
       // so the tuner can surface compile failures distinctly.
@@ -220,36 +159,26 @@ nativeMeasuredSweep(const StencilProgram &Program,
                                         : MeasureFailureKind::NeverBuilt;
       continue;
     }
-    assert(Candidates[I].ProblemIndex < Problems.size() &&
-           "candidate addresses a problem size outside the sweep");
-    const ProblemSize &Problem = Problems[Candidates[I].ProblemIndex];
     obs::TraceSpan CandidateSpan("measure.candidate");
-    if (CandidateSpan.active()) {
-      CandidateSpan.attr("config", Candidates[I].Config.toString());
-      CandidateSpan.attr("problem",
-                         std::to_string(Candidates[I].ProblemIndex));
-    }
+    if (CandidateSpan.active())
+      CandidateSpan.attr("config", Schedules[I].Config.toString());
     KernelTiming Timing =
         Program.elemType() == ScalarType::Float
             ? timeNativeKernel<float>(*Executor, Problem, Program.radius(),
                                       Options.Repeats,
-                                      Options.Runtime.Threads, Warmed[Slot])
+                                      Options.Runtime.Threads)
             : timeNativeKernel<double>(*Executor, Problem, Program.radius(),
                                        Options.Repeats,
-                                       Options.Runtime.Threads,
-                                       Warmed[Slot]);
+                                       Options.Runtime.Threads);
     if (Timing.Rc != 0) {
       Results[I].FailureReason = "kernel rejected the run (code " +
                                  std::to_string(Timing.Rc) + ")";
       Results[I].FailureKind = MeasureFailureKind::RunRejected;
       continue;
     }
-    Warmed[Slot] = true;
     MeasuredResult &Out = Results[I];
     Out.Feasible = true;
     Out.MeasuredTimeSeconds = Timing.Seconds;
-    double CellUpdates = static_cast<double>(Problem.cellCount()) *
-                         static_cast<double>(Problem.TimeSteps);
     Out.MeasuredGflops = FlopsPerCell * CellUpdates / Timing.Seconds / 1e9;
   }
 

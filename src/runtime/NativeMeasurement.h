@@ -6,9 +6,10 @@
 ///
 /// \file
 /// The Native measurement backend of the tuning flow: instead of the
-/// calibrated MeasuredSimulator, each sweep candidate is compiled into a
+/// calibrated MeasuredSimulator, each gated ScheduleIR is compiled into a
 /// real OpenMP kernel (runtime/NativeExecutor.h) and timed on the host
-/// CPU. Compilation fans out across a thread pool — kernel builds are
+/// CPU. Compilation fans out across the worker pool
+/// (support/ParallelFor.h) — kernel builds are
 /// independent compiler processes — while the timed runs execute strictly
 /// serially, one kernel at a time with the machine to itself, so
 /// measurements are not polluted by sibling candidates.
@@ -24,8 +25,8 @@
 #define AN5D_RUNTIME_NATIVEMEASUREMENT_H
 
 #include "runtime/NativeExecutor.h"
+#include "schedule/ScheduleIR.h"
 #include "sim/MeasuredSimulator.h"
-#include "tuning/ParallelSweep.h"
 
 #include <vector>
 
@@ -40,16 +41,10 @@ struct NativeMeasureOptions {
   /// OMP_NUM_THREADS.
   NativeRuntimeOptions Runtime;
 
-  /// Worker threads for the parallel compile stage; 0 resolves like the
-  /// simulated sweep (resolveSweepThreads). Timing is always serial.
-  int CompileThreads = 0;
-
   /// Timed repetitions per candidate; the fastest is kept (compensates
-  /// for scheduler noise on a busy host). Each compiled kernel
-  /// additionally runs one untimed warmup before its first timed repeats;
-  /// candidates sharing the kernel (the same configuration timed against
-  /// several problem sizes) reuse that warmup (an5dc --measure-repeats
-  /// sets the timed count).
+  /// for scheduler noise on a busy host). Each candidate additionally
+  /// runs one untimed warmup before its timed repeats (an5dc
+  /// --measure-repeats sets the timed count).
   int Repeats = 2;
 };
 
@@ -81,40 +76,31 @@ constexpr double MinMeasurableSeconds = 1e-7;
 /// and restores the previous pool size on exit, fills pristine double
 /// buffers, runs one untimed warmup, then keeps the fastest of \p Repeats
 /// timed `an5d_run` invocations. T must match the kernel's element type.
-/// \p SkipWarmup drops the untimed run — for a kernel that already ran in
-/// this process (the sweep reuses one warmup across the problem sizes a
-/// candidate is timed against; the buffers are freshly touched either
-/// way).
 template <typename T>
 KernelTiming timeNativeKernel(const NativeExecutor &Executor,
                               const ProblemSize &Problem, int Radius,
-                              int Repeats, int Threads,
-                              bool SkipWarmup = false);
+                              int Repeats, int Threads);
 
 extern template KernelTiming
 timeNativeKernel<float>(const NativeExecutor &, const ProblemSize &, int,
-                        int, int, bool);
+                        int, int);
 extern template KernelTiming
 timeNativeKernel<double>(const NativeExecutor &, const ProblemSize &, int,
-                         int, int, bool);
+                         int, int);
 
-/// Runs every candidate through a compiled kernel: each candidate is
-/// lowered to its ScheduleIR exactly once (or reuses the IR the tuner
-/// handed down in SweepCandidate::Schedule), compilation fans out across
-/// \p Options.CompileThreads workers (candidates sharing a configuration
-/// — the same config timed against several problem sizes, or register-cap
-/// variants — share one executor and its warmup), timing runs serially in
-/// candidate order. Results are indexed exactly like \p Candidates;
-/// infeasible or failed-to-build candidates come back with
-/// Feasible == false, and candidates whose kernel failed to build or
-/// rejected the run carry the reason in MeasuredResult::FailureReason.
+/// Compiles one kernel per schedule in \p Schedules (the tuner's gated
+/// IRs, rendered as they are) across \p Threads workers (see
+/// resolveSweepThreads for 0), then times them serially in order at
+/// \p Problem. Results are indexed exactly like \p Schedules; candidates
+/// whose kernel failed to build or rejected the run come back with
+/// Feasible == false and the reason in MeasuredResult::FailureReason.
 /// \p Cache may be null (a private cache over Options.Runtime.CacheDir is
 /// used).
 std::vector<MeasuredResult>
 nativeMeasuredSweep(const StencilProgram &Program,
-                    const std::vector<SweepCandidate> &Candidates,
-                    const std::vector<ProblemSize> &Problems,
-                    const NativeMeasureOptions &Options,
+                    const std::vector<ScheduleIR> &Schedules,
+                    const ProblemSize &Problem,
+                    const NativeMeasureOptions &Options, int Threads,
                     KernelCache *Cache = nullptr);
 
 } // namespace an5d

@@ -7,11 +7,10 @@
 #include "tuning/Tuner.h"
 
 #include "analysis/passes/AnalysisPass.h"
-#include "analysis/passes/ResourceEstimator.h"
 #include "model/RegisterModel.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "tuning/ParallelSweep.h"
+#include "support/ParallelFor.h"
 
 #include <algorithm>
 #include <cmath>
@@ -72,18 +71,13 @@ double quantizedModelScore(double Gflops) {
   return static_cast<double>(static_cast<float>(Gflops));
 }
 
-bool Tuner::passesStaticPruning(const StencilProgram &Program,
-                                const BlockConfig &Config) const {
-  return Config.isFeasible(Program.radius(), Spec.MaxThreadsPerBlock) &&
-         !exceedsRegisterLimits(Program, Config, Spec);
-}
-
 std::vector<RankedConfig> Tuner::rankByModel(const StencilProgram &Program,
                                              const ProblemSize &Problem,
                                              std::size_t TopK) const {
   std::vector<RankedConfig> Ranked;
   for (const BlockConfig &Config : enumerateConfigs(Program)) {
-    if (!passesStaticPruning(Program, Config))
+    if (!Config.isFeasible(Program.radius(), Spec.MaxThreadsPerBlock) ||
+        exceedsRegisterLimits(Program, Config, Spec))
       continue;
     ModelBreakdown Model = evaluateModel(Program, Spec, Config, Problem);
     if (!Model.Feasible)
@@ -113,151 +107,121 @@ std::vector<RankedConfig> Tuner::rankByModel(const StencilProgram &Program,
   return Ranked;
 }
 
-std::vector<SweepCandidate> Tuner::enumerateSweepCandidates(
-    const StencilProgram &Program, std::size_t NumProblems,
-    const std::vector<int> &RegisterCaps) const {
-  // Enumeration and static pruning are problem-independent: walk the grid
-  // once, then cross the survivors with the problem indices and caps.
-  std::vector<BlockConfig> Pruned;
-  for (const BlockConfig &Config : enumerateConfigs(Program))
-    if (passesStaticPruning(Program, Config))
-      Pruned.push_back(Config);
-
-  std::vector<SweepCandidate> Candidates;
-  Candidates.reserve(NumProblems * Pruned.size() * RegisterCaps.size());
-  for (std::size_t P = 0; P < NumProblems; ++P)
-    for (const BlockConfig &Config : Pruned)
-      for (int Cap : RegisterCaps) {
-        SweepCandidate Item;
-        Item.Config = Config;
-        Item.Config.RegisterCap = Cap;
-        Item.ProblemIndex = P;
-        Candidates.push_back(std::move(Item));
-      }
-  return Candidates;
+std::vector<MeasuredResult>
+parallelMeasuredSweep(const StencilProgram &Program, const GpuSpec &Spec,
+                      const std::vector<BlockConfig> &Configs,
+                      const ProblemSize &Problem, int Threads) {
+  std::vector<MeasuredResult> Results(Configs.size());
+  if (Configs.empty())
+    return Results;
+  obs::count("sweep.candidates", static_cast<long long>(Configs.size()));
+  // simulateMeasured is a pure function and every item writes only its
+  // own slot, so the results do not depend on the worker count.
+  parallelFor(Configs.size(), Threads, [&](std::size_t Item) {
+    Results[Item] = simulateMeasured(Program, Spec, Configs[Item], Problem);
+  });
+  return Results;
 }
 
 TuneOutcome Tuner::tune(const StencilProgram &Program,
                         const ProblemSize &Problem,
                         const TuneOptions &Options) const {
-  return tuneAcrossProblems(Program, {Problem}, Options).front();
-}
-
-std::vector<TuneOutcome>
-Tuner::tuneAcrossProblems(const StencilProgram &Program,
-                          const std::vector<ProblemSize> &Problems,
-                          const TuneOptions &Options) const {
-  std::vector<TuneOutcome> Outcomes(Problems.size());
+  TuneOutcome Outcome;
 
   obs::TraceSpan TuneSpan("tune");
-  if (TuneSpan.active()) {
+  if (TuneSpan.active())
     TuneSpan.attr("stencil", Program.name());
-    TuneSpan.attr("problems", std::to_string(Problems.size()));
-  }
   obs::count("tuner.tunes");
 
-  // The native backend times real CPU kernels (all dimensionalities —
-  // 1D streams through the chunk-parallel kernel): register caps are a
-  // CUDA knob the kernel source does not encode, so cap variants would
-  // rebuild and re-time identical kernels.
-  bool UseNative = Options.Backend == MeasurementBackend::Native;
-  static const std::vector<int> NativeCaps = {0};
-  const std::vector<int> &Caps =
-      UseNative ? NativeCaps : Options.RegisterCaps;
-
-  // Stage 1 (enumerate/prune): per-problem model ranking, then the full
-  // candidate list — top-K x register caps, cross-product with the
-  // problem sizes — for one shared sweep.
-  std::vector<SweepCandidate> Candidates;
+  // Stage 1 (enumerate/prune): model ranking, then one lowering and one
+  // pre-JIT gate per ranked candidate.
+  {
+    AN5D_TRACE_SPAN("tune.rank");
+    Outcome.TopByModel = rankByModel(Program, Problem, Options.TopK);
+  }
+  obs::count("tuner.candidates_ranked",
+             static_cast<long long>(Outcome.TopByModel.size()));
+  std::vector<ScheduleIR> Gated;
+  Gated.reserve(Outcome.TopByModel.size());
   const AnalysisPassManager Passes = AnalysisPassManager::standardPipeline();
-  for (std::size_t P = 0; P < Problems.size(); ++P) {
-    {
-      AN5D_TRACE_SPAN("tune.rank");
-      Outcomes[P].TopByModel =
-          rankByModel(Program, Problems[P], Options.TopK);
-    }
-    obs::count("tuner.candidates_ranked",
-               static_cast<long long>(Outcomes[P].TopByModel.size()));
-    for (const RankedConfig &Candidate : Outcomes[P].TopByModel) {
-      obs::TraceSpan CandidateSpan("tune.candidate");
-      if (CandidateSpan.active())
-        CandidateSpan.attr("config", Candidate.Config.toString());
-      // Lower once; the gate proves this IR and the sweep candidates
-      // carry it down to the native backend, so nothing re-derives the
-      // schedule from the raw configuration.
-      ScheduleIR Lowered = [&] {
-        AN5D_TRACE_SPAN("tune.lower");
-        return lowerSchedule(Program, Candidate.Config);
-      }();
-      // The one pre-JIT gate: tape discipline, the schedule proof
-      // (including this problem's host time-block schedule) and the
-      // resource features. A candidate with an Error finding never
-      // reaches the compiler. rankByModel only emits feasibility-pruned
-      // configs, so a rejection here means the model and the gate
-      // disagree — worth surfacing loudly rather than timing a kernel
-      // with a latent race.
-      AnalysisInput GateInput;
-      GateInput.Program = &Program;
-      GateInput.Schedule = &Lowered;
-      GateInput.Problem = &Problems[P];
-      AnalysisReport Gate = [&] {
-        AN5D_TRACE_SPAN("tune.analyze");
-        return Passes.run(GateInput);
-      }();
-      if (!Gate.proven()) {
-        const AnalysisFinding &First = *std::find_if(
-            Gate.Findings.begin(), Gate.Findings.end(),
-            [](const AnalysisFinding &F) {
-              return F.Severity == FindingSeverity::Error;
-            });
-        if (First.Id.rfind("AN5D-A2", 0) == 0) {
-          ++Outcomes[P].VerifierRejections;
-          obs::count("tuner.verifier_rejections");
-        } else {
-          ++Outcomes[P].AnalysisRejections;
-          obs::count("tuner.analysis_rejections");
-        }
-        if (Outcomes[P].FirstRejectionReason.empty())
-          Outcomes[P].FirstRejectionReason =
-              Candidate.Config.toString() + ": " + First.toString();
-        continue;
+  for (const RankedConfig &Candidate : Outcome.TopByModel) {
+    obs::TraceSpan CandidateSpan("tune.candidate");
+    if (CandidateSpan.active())
+      CandidateSpan.attr("config", Candidate.Config.toString());
+    // Lower once; the gate proves this IR and the native backend compiles
+    // it, so nothing re-derives the schedule from the raw configuration.
+    ScheduleIR Lowered = [&] {
+      AN5D_TRACE_SPAN("tune.lower");
+      return lowerSchedule(Program, Candidate.Config);
+    }();
+    // The one pre-JIT gate: tape discipline, the schedule proof
+    // (including this problem's host time-block schedule) and the
+    // resource features. A candidate with an Error finding never
+    // reaches the compiler. rankByModel only emits feasibility-pruned
+    // configs, so a rejection here means the model and the gate
+    // disagree — worth surfacing loudly rather than timing a kernel
+    // with a latent race.
+    AnalysisInput GateInput;
+    GateInput.Program = &Program;
+    GateInput.Schedule = &Lowered;
+    GateInput.Problem = &Problem;
+    AnalysisReport Gate = [&] {
+      AN5D_TRACE_SPAN("tune.analyze");
+      return Passes.run(GateInput);
+    }();
+    if (!Gate.proven()) {
+      const AnalysisFinding &First = *std::find_if(
+          Gate.Findings.begin(), Gate.Findings.end(),
+          [](const AnalysisFinding &F) {
+            return F.Severity == FindingSeverity::Error;
+          });
+      if (First.Id.rfind("AN5D-A2", 0) == 0) {
+        ++Outcome.VerifierRejections;
+        obs::count("tuner.verifier_rejections");
+      } else {
+        ++Outcome.AnalysisRejections;
+        obs::count("tuner.analysis_rejections");
       }
-      ResourceEstimate Resources = estimateResources(Program, Lowered);
-      for (int Cap : Caps) {
-        SweepCandidate Item;
-        Item.Config = Candidate.Config;
-        Item.Config.RegisterCap = Cap;
-        Item.Schedule = Lowered;
-        Item.Schedule.Config.RegisterCap = Cap;
-        Item.ProblemIndex = P;
-        Item.Resources = Resources;
-        Candidates.push_back(std::move(Item));
-      }
+      if (Outcome.FirstRejectionReason.empty())
+        Outcome.FirstRejectionReason =
+            Candidate.Config.toString() + ": " + First.toString();
+      continue;
     }
+    Gated.push_back(std::move(Lowered));
   }
 
-  // Stage 2 (measured sweep): parallel across the pool; the reduction
-  // below walks the deterministic result array serially in candidate
-  // order, so the outcome is bit-identical for every thread count. The
-  // native backend parallelizes compilation over the same pool and then
-  // times the compiled kernels serially.
-  NativeMeasureOptions NativeOptions = Options.Native;
-  if (NativeOptions.CompileThreads == 0)
-    NativeOptions.CompileThreads = Options.Threads;
+  // Stage 2 (measured sweep). The simulated backend measures every gated
+  // candidate under each register cap; the native backend times the
+  // gated kernels themselves — register caps are a CUDA knob the kernel
+  // source does not encode, so cap variants would rebuild and re-time
+  // identical kernels. Either way Swept[I] is the configuration of
+  // Results[I], and the reduction below walks them serially in order, so
+  // the outcome is bit-identical for every thread count.
+  bool UseNative = Options.Backend == MeasurementBackend::Native;
+  std::vector<BlockConfig> Swept;
+  for (const ScheduleIR &IR : Gated) {
+    if (UseNative) {
+      Swept.push_back(IR.Config);
+      continue;
+    }
+    for (int Cap : RegisterCapMenu) {
+      Swept.push_back(IR.Config);
+      Swept.back().RegisterCap = Cap;
+    }
+  }
   std::vector<MeasuredResult> Results = [&] {
     obs::TraceSpan SweepSpan("tune.sweep");
     if (SweepSpan.active()) {
       SweepSpan.attr("backend", UseNative ? "native" : "simulated");
-      SweepSpan.attr("candidates", std::to_string(Candidates.size()));
+      SweepSpan.attr("candidates", std::to_string(Swept.size()));
     }
-    return UseNative ? nativeMeasuredSweep(Program, Candidates, Problems,
-                                           NativeOptions)
-                     : parallelMeasuredSweep(Program, Spec, Candidates,
-                                             Problems, Options.Threads);
+    return UseNative ? nativeMeasuredSweep(Program, Gated, Problem,
+                                           Options.Native, Options.Threads)
+                     : parallelMeasuredSweep(Program, Spec, Swept, Problem,
+                                             Options.Threads);
   }();
-  for (std::size_t I = 0; I < Candidates.size(); ++I) {
+  for (std::size_t I = 0; I < Swept.size(); ++I) {
     const MeasuredResult &Measured = Results[I];
-    TuneOutcome &Outcome = Outcomes[Candidates[I].ProblemIndex];
     if (!Measured.Feasible) {
       // Candidates the backend could not run at all (compile/load
       // failure, rejected run) are counted separately from genuinely
@@ -274,11 +238,11 @@ Tuner::tuneAcrossProblems(const StencilProgram &Program,
     if (!Outcome.Feasible ||
         Measured.MeasuredGflops > Outcome.BestMeasured.MeasuredGflops) {
       Outcome.Feasible = true;
-      Outcome.Best = Candidates[I].Config;
+      Outcome.Best = Swept[I];
       Outcome.BestMeasured = Measured;
     }
   }
-  return Outcomes;
+  return Outcome;
 }
 
 BlockConfig Tuner::sconf(const StencilProgram &Program) {

@@ -5,24 +5,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The model-guided tuning flow of Section 6.3 in two stages:
+/// The model-guided tuning flow of Section 6.3 for one problem size, in
+/// two stages:
 ///
 ///  1. Enumerate/prune: walk the parameter grid for the stencil's
 ///     dimensionality (bT in [1,16] for 1D/2D, [1,8] for 3D; bS in
 ///     {64,128,256,512} for 2D, {16x16, 32x16, 32x32, 64x16} for 3D, none
 ///     for 1D pure streaming; hSN in {off,128,256,512,1024} for 1D,
 ///     {256,512,1024} for 2D, {128,256} for 3D), drop register-infeasible
-///     points, and rank the rest with the Section 5 performance model.
+///     points, rank the rest with the Section 5 performance model, and
+///     lower + gate each of the top-K (one ScheduleIR per candidate).
 ///
-///  2. Measured sweep: "run" the top-K candidates through the
-///     measured-performance simulator with each register cap
-///     ({none, 32, 64, 96}), dispatched across a small thread pool
-///     (tuning/ParallelSweep.h), and keep the fastest. The sweep is
-///     bit-identical for every thread count.
+///  2. Measured sweep: "run" every gated candidate through the
+///     measured-performance simulator under each register cap of
+///     RegisterCapMenu, fanned out over the worker pool
+///     (support/ParallelFor.h), and keep the fastest. The sweep is
+///     bit-identical for every thread count. The native backend compiles
+///     and times the gated IRs themselves instead.
 ///
-/// TuneOptions carries the knobs (top-K, register-cap menu, worker
-/// threads) and is threaded through an5dc --tune and
-/// examples/tuning_explorer.
+/// TuneOptions carries the knobs (top-K, worker threads, backend) and is
+/// threaded through an5dc --tune and examples/tuning_explorer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,8 +37,8 @@
 #include "model/PerformanceModel.h"
 #include "runtime/NativeMeasurement.h"
 #include "sim/MeasuredSimulator.h"
-#include "tuning/ParallelSweep.h"
 
+#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -48,6 +50,32 @@ namespace an5d {
 /// tie-break. Exposed so tests can assert the tie-break with the same
 /// predicate the sort uses.
 double quantizedModelScore(double Gflops);
+
+/// The register caps (0 = uncapped) the simulated sweep measures every
+/// gated candidate under, Section 6.3.
+inline constexpr std::array<int, 4> RegisterCapMenu = {0, 32, 64, 96};
+
+/// Which measurement source the tuning flow's second stage runs the
+/// candidates through.
+enum class MeasurementBackend {
+  /// The calibrated MeasuredSimulator (default): models the paper's GPUs,
+  /// microseconds per candidate, fanned out over the worker pool.
+  Simulated,
+  /// Real JIT-compiled OpenMP kernels timed on the host CPU
+  /// (runtime/NativeMeasurement.h): compilation fans out over the same
+  /// worker pool, the timed runs are serialized so candidates do not
+  /// contend for cores.
+  Native,
+};
+
+/// Runs simulateMeasured for every configuration in \p Configs (register
+/// cap included) at \p Problem, fanned out over \p Threads workers (see
+/// resolveSweepThreads for 0). Results are indexed exactly like
+/// \p Configs and are bit-identical for every thread count.
+std::vector<MeasuredResult>
+parallelMeasuredSweep(const StencilProgram &Program, const GpuSpec &Spec,
+                      const std::vector<BlockConfig> &Configs,
+                      const ProblemSize &Problem, int Threads);
 
 /// One model-ranked candidate.
 struct RankedConfig {
@@ -100,17 +128,15 @@ struct TuneOptions {
   /// measured occupancy disappoints).
   std::size_t TopK = 16;
 
-  /// Register caps tried per candidate (0 = uncapped), Section 6.3.
-  std::vector<int> RegisterCaps = {0, 32, 64, 96};
-
-  /// Worker threads for the measured sweep; 0 picks one per hardware
-  /// thread (capped at 8). Any value yields bit-identical results (the
-  /// native backend parallelizes only compilation, never timing).
+  /// Worker threads for the simulated sweep and the native compile stage;
+  /// 0 picks one per hardware thread (capped at 8). Any value yields
+  /// bit-identical results (the native backend parallelizes only
+  /// compilation, never timing).
   int Threads = 0;
 
-  /// Measurement source of stage 2. With Native, register caps collapse
-  /// to {0} — -maxrregcount is a CUDA knob with no CPU analogue, so cap
-  /// variants would compile and time the same kernel repeatedly. All
+  /// Measurement source of stage 2. Native skips RegisterCapMenu —
+  /// -maxrregcount is a CUDA knob with no CPU analogue, so cap variants
+  /// would compile and time the same kernel repeatedly. All
   /// dimensionalities run real kernels (1D streams through the
   /// chunk-parallel kernel).
   MeasurementBackend Backend = MeasurementBackend::Simulated;
@@ -140,29 +166,12 @@ public:
                                         const ProblemSize &Problem,
                                         std::size_t TopK) const;
 
-  /// The full measured workload over the raw grid (no model ranking):
-  /// every feasible, register-legal configuration x \p RegisterCaps,
-  /// replicated for problem indices [0, NumProblems). The throughput
-  /// bench and the sweep tests dispatch this to exercise the pool beyond
-  /// the tuner's own top-K stage.
-  std::vector<SweepCandidate> enumerateSweepCandidates(
-      const StencilProgram &Program, std::size_t NumProblems,
-      const std::vector<int> &RegisterCaps = {0, 32, 64, 96}) const;
-
-  /// Full tuning flow: rank, sweep the top-K with each register cap
-  /// across Options.Threads workers, return the fastest measured
-  /// configuration. Bit-identical for every thread count.
+  /// Full tuning flow for \p Problem: rank, gate the top-K, sweep them
+  /// (under each cap of RegisterCapMenu when simulated) across
+  /// Options.Threads workers, return the fastest measured configuration.
+  /// Bit-identical for every thread count.
   TuneOutcome tune(const StencilProgram &Program, const ProblemSize &Problem,
                    const TuneOptions &Options = TuneOptions()) const;
-
-  /// Tunes one stencil for several problem sizes at once: the per-problem
-  /// candidates (top-K x register caps, cross-product with the problem
-  /// list) form a single measured sweep over the shared thread pool, then
-  /// each problem reduces serially to its own outcome.
-  std::vector<TuneOutcome>
-  tuneAcrossProblems(const StencilProgram &Program,
-                     const std::vector<ProblemSize> &Problems,
-                     const TuneOptions &Options = TuneOptions()) const;
 
   /// The Sconf configuration of Section 6.3 (STENCILGEN's kernel
   /// parameters): bT=4, hSN=128, bS=32 for 2D / 32x32 for 3D, with the
@@ -171,11 +180,6 @@ public:
   static BlockConfig sconf(const StencilProgram &Program);
 
 private:
-  /// The dimensionality-independent pruning both stages share: block
-  /// feasibility plus the register-limit estimate.
-  bool passesStaticPruning(const StencilProgram &Program,
-                           const BlockConfig &Config) const;
-
   GpuSpec Spec;
 };
 

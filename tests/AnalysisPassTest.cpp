@@ -1007,14 +1007,14 @@ TEST(AnalysisTunerGate, TapeErrorsCountAsAnalysisRejections) {
       << Outcome.FirstRejectionReason;
 }
 
-TEST(AnalysisTunerGate, SweepCandidatesCarryResourceFeatures) {
+TEST(AnalysisTunerGate, RankedCandidatesCarryOccupancyFeatures) {
   auto P = makeBenchmarkStencil("star2d2r", ScalarType::Float);
   Tuner T(GpuSpec::teslaV100());
   TuneOutcome Outcome = T.tune(*P, ProblemSize::paperDefault(2));
   ASSERT_TRUE(Outcome.Feasible);
   ASSERT_FALSE(Outcome.TopByModel.empty());
-  // Every surviving model-ranked candidate was re-estimated from its
-  // lowered schedule on the way into the measured sweep.
+  // rankByModel's model breakdown carries the occupancy slice of the
+  // resource estimate (estimateOccupancy) the model scored it with.
   const RankedConfig &Best = Outcome.TopByModel.front();
   EXPECT_TRUE(Best.Model.Resources.Valid);
   EXPECT_EQ(Best.Model.Resources.RegistersPerThread,

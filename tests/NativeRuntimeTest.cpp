@@ -454,31 +454,28 @@ TEST(NativeMeasurement, MeasurementProblemIsCpuSized) {
 
 TEST(NativeMeasurement, SweepTimesRealKernelsAndDeduplicatesCaps) {
   auto Program = makeBenchmarkStencil("j2d5pt", ScalarType::Float);
-  BlockConfig Base = testConfig(*Program);
-  std::vector<SweepCandidate> Candidates;
+  std::vector<ScheduleIR> Schedules;
   for (int Cap : {0, 64}) {
-    SweepCandidate Item;
-    Item.Config = Base;
-    Item.Config.RegisterCap = Cap;
-    Candidates.push_back(Item);
+    BlockConfig Config = testConfig(*Program);
+    Config.RegisterCap = Cap;
+    Schedules.push_back(lowerSchedule(*Program, Config));
   }
-  std::vector<ProblemSize> Problems = {nativeMeasurementProblem(2)};
   // Shrink timing further: unit tests only check plumbing.
-  Problems[0].Extents = {64, 64};
-  Problems[0].TimeSteps = 4;
+  ProblemSize Problem = nativeMeasurementProblem(2);
+  Problem.Extents = {64, 64};
+  Problem.TimeSteps = 4;
 
   std::string Dir = freshCacheDir("sweep");
   KernelCache Cache(Dir);
   NativeMeasureOptions Options;
   Options.Runtime = fastBuildOptions(Dir);
+  Options.Repeats = 1;
   // Parallel compile stage on purpose: same-key builds serialize inside
   // KernelCache, so even concurrent builders must produce exactly one
   // compile (miss) and one wait-then-hit.
-  Options.CompileThreads = 2;
-  Options.Repeats = 1;
-  std::vector<MeasuredResult> Results =
-      nativeMeasuredSweep(*Program, Candidates, Problems, Options, &Cache);
-  ASSERT_EQ(Results.size(), Candidates.size());
+  std::vector<MeasuredResult> Results = nativeMeasuredSweep(
+      *Program, Schedules, Problem, Options, /*Threads=*/2, &Cache);
+  ASSERT_EQ(Results.size(), Schedules.size());
   for (const MeasuredResult &Result : Results) {
     EXPECT_TRUE(Result.Feasible);
     EXPECT_GT(Result.MeasuredGflops, 0.0);
@@ -538,17 +535,17 @@ TEST(NativeMeasurement, SweepRecordsPerCandidateFailureReasons) {
   // A broken host compiler must not masquerade as "infeasible": every
   // candidate records why its kernel never ran.
   auto Program = makeBenchmarkStencil("j2d5pt", ScalarType::Float);
-  std::vector<SweepCandidate> Candidates(2);
-  Candidates[0].Config = testConfig(*Program);
-  Candidates[1].Config = testConfig(*Program);
-  Candidates[1].Config.BT = 3;
-  std::vector<ProblemSize> Problems = {nativeMeasurementProblem(2)};
+  BlockConfig Deeper = testConfig(*Program);
+  Deeper.BT = 3;
+  std::vector<ScheduleIR> Schedules = {
+      lowerSchedule(*Program, testConfig(*Program)),
+      lowerSchedule(*Program, Deeper)};
   NativeMeasureOptions Options;
   Options.Runtime = fastBuildOptions(freshCacheDir("failreason"));
   Options.Runtime.Compiler = "/nonexistent/an5d-cxx";
-  Options.CompileThreads = 1;
   std::vector<MeasuredResult> Results =
-      nativeMeasuredSweep(*Program, Candidates, Problems, Options);
+      nativeMeasuredSweep(*Program, Schedules, nativeMeasurementProblem(2),
+                          Options, /*Threads=*/1);
   ASSERT_EQ(Results.size(), 2u);
   for (const MeasuredResult &Result : Results) {
     EXPECT_FALSE(Result.Feasible);
@@ -581,16 +578,15 @@ TEST(NativeMeasurement, TimingsAreClampedToResolvableDurations) {
   // clock resolves; the sweep must still report a usable positive time
   // rather than zero or infinite GFLOP/s.
   auto Program = makeBenchmarkStencil("star1d1r", ScalarType::Float);
-  std::vector<SweepCandidate> Candidates(1);
-  Candidates[0].Config = testConfig(*Program);
-  std::vector<ProblemSize> Problems(1);
-  Problems[0].Extents = {4};
-  Problems[0].TimeSteps = 1;
+  ProblemSize Problem;
+  Problem.Extents = {4};
+  Problem.TimeSteps = 1;
   NativeMeasureOptions Options;
   Options.Runtime = fastBuildOptions(sharedCacheDir());
   Options.Repeats = 1;
-  std::vector<MeasuredResult> Results =
-      nativeMeasuredSweep(*Program, Candidates, Problems, Options);
+  std::vector<MeasuredResult> Results = nativeMeasuredSweep(
+      *Program, {lowerSchedule(*Program, testConfig(*Program))}, Problem,
+      Options, /*Threads=*/0);
   ASSERT_EQ(Results.size(), 1u);
   ASSERT_TRUE(Results[0].Feasible) << Results[0].FailureReason;
   EXPECT_GE(Results[0].MeasuredTimeSeconds, 1e-7);

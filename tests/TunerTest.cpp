@@ -249,30 +249,6 @@ TEST(Tuner, SweepResultBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(Tuner, TuneAcrossProblemsMatchesPerProblemTunes) {
-  Tuner T(GpuSpec::teslaV100());
-  auto P = makeStarStencil(2, 1, ScalarType::Float);
-  std::vector<ProblemSize> Problems;
-  Problems.push_back(ProblemSize::paperDefault(2));
-  ProblemSize Small;
-  Small.Extents = {4096, 4096};
-  Small.TimeSteps = 500;
-  Problems.push_back(Small);
-
-  TuneOptions Options;
-  Options.Threads = 3;
-  std::vector<TuneOutcome> Joint = T.tuneAcrossProblems(*P, Problems, Options);
-  ASSERT_EQ(Joint.size(), 2u);
-  for (std::size_t I = 0; I < Problems.size(); ++I) {
-    TuneOutcome Single = T.tune(*P, Problems[I], Options);
-    ASSERT_EQ(Joint[I].Feasible, Single.Feasible) << I;
-    EXPECT_EQ(Joint[I].Best.toString(), Single.Best.toString()) << I;
-    EXPECT_EQ(Joint[I].BestMeasured.MeasuredGflops,
-              Single.BestMeasured.MeasuredGflops)
-        << I;
-  }
-}
-
 TEST(Tuner, TuneOptionsTopKLimitsSweep) {
   Tuner T(GpuSpec::teslaV100());
   auto P = makeStarStencil(2, 1, ScalarType::Float);
