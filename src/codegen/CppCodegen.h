@@ -24,7 +24,25 @@
 ///    extents and the step count are runtime arguments; the configuration
 ///    and stencil are baked in. The (chunk x block) pair loop is an OpenMP
 ///    worksharing loop when compiled with -fopenmp. This is what the
-///    native runtime (src/runtime/) compiles, caches and loads.
+///    native runtime (src/runtime/) compiles, caches and loads. The TU
+///    includes only <omp.h> (and <cmath> when the stencil calls a math
+///    function) and holds no mutable file-scope state: extents are
+///    locals, and `an5d_run` opens one parallel region in which every
+///    thread allocates its flat ring once, so the entry is reentrant.
+///
+/// The invocation body renders the IR's per-degree tables. Tier 1 reads
+/// the input rows directly; tiers 1..bT-1 keep their sub-planes in the
+/// per-thread ring, whose slot rotates once per streaming step (no modulo
+/// per read). Per tier and sub-plane, integer clamps split the lanes once
+/// into pinned (outside the grid interior: copied from the input), carry
+/// (interior but outside the tier's valid region: copied from the
+/// producer) and valid segments; the valid segment is an `omp simd` loop
+/// reading one named pointer per tap row (`P0[l]`, `P1[l - 1]`, ...); in
+/// 1D a ring tier stores each sub-plane twice, so one window pointer
+/// reads every tap as `w[ds]`. The final tier evaluates only the cells it
+/// stores. Ring cells are never
+/// cleared: the prover (A204/A205) shows every cell a tier reads was
+/// written earlier in the same block.
 ///
 /// Both modes emit exactly the per-cell arithmetic of the in-process
 /// evaluators (same expression tree, float literals round-tripped through

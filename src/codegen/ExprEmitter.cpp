@@ -7,32 +7,39 @@
 #include "codegen/ExprEmitter.h"
 
 #include <cassert>
-#include <cstdio>
+#include <charconv>
 
 namespace an5d {
 
-std::string emitLiteral(double Value, ScalarType Type) {
+/// \p Value spelled exactly as printf's "%.<Precision>g" would (to_chars
+/// with an explicit precision is specified to match it, without the
+/// locale and format-string overhead).
+static std::string formatGeneral(double Value, int Precision) {
   char Buffer[64];
+  return std::string(Buffer,
+                     std::to_chars(Buffer, Buffer + sizeof(Buffer), Value,
+                                   std::chars_format::general, Precision)
+                         .ptr);
+}
+
+std::string emitLiteral(double Value, ScalarType Type) {
   if (Type == ScalarType::Float) {
-    std::snprintf(Buffer, sizeof(Buffer), "%.9g", Value);
-    std::string S = Buffer;
+    std::string S = formatGeneral(Value, 9);
     // "118f" is not a valid literal; force a decimal point first.
     if (S.find('.') == std::string::npos &&
         S.find('e') == std::string::npos)
       S += ".0";
     return S + "f";
   } else {
-    std::snprintf(Buffer, sizeof(Buffer), "%.17g", Value);
     // Ensure a double literal (avoid bare integers turning into int
     // arithmetic).
-    std::string S = Buffer;
+    std::string S = formatGeneral(Value, 17);
     if (S.find('.') == std::string::npos &&
         S.find('e') == std::string::npos &&
         S.find("inf") == std::string::npos)
       S += ".0";
     return S;
   }
-  return Buffer;
 }
 
 std::string defaultReadMacro(const GridReadExpr &Read) {

@@ -58,17 +58,48 @@ KernelCache::KernelCache(std::string Directory, long long MaxBytes)
 
 std::string KernelCache::hashKey(const std::string &Source,
                                  const std::string &CompilerFingerprint) {
-  auto Fnv1a = [](std::uint64_t Hash, const std::string &Text) {
-    for (unsigned char C : Text) {
-      Hash ^= C;
-      Hash *= 1099511628211ULL;
+  constexpr std::uint64_t Prime = 1099511628211ULL;
+  auto Fnv1a = [](std::uint64_t Hash, const unsigned char *Bytes,
+                  std::size_t Size) {
+    for (std::size_t I = 0; I < Size; ++I) {
+      Hash ^= Bytes[I];
+      Hash *= Prime;
     }
     return Hash;
   };
-  std::uint64_t Hash = 14695981039346656037ULL;
-  Hash = Fnv1a(Hash, Source);
-  Hash = Fnv1a(Hash, "\x1f"); // keep (a+b, c) distinct from (a, b+c)
-  Hash = Fnv1a(Hash, CompilerFingerprint);
+  // The source (kilobytes, hashed on every lookup) runs through eight
+  // FNV-1a lanes, byte I into lane I % 8, so eight multiply chains overlap
+  // instead of one multiply latency per byte; each lane's state is then
+  // folded byte by byte into the final hash.
+  constexpr std::size_t NumLanes = 8;
+  const std::uint64_t Basis = 14695981039346656037ULL;
+  std::uint64_t Lanes[NumLanes];
+  for (std::size_t L = 0; L < NumLanes; ++L)
+    Lanes[L] = Basis ^ L;
+  const auto *Bytes = reinterpret_cast<const unsigned char *>(Source.data());
+  const std::size_t Size = Source.size();
+  std::size_t I = 0;
+  for (; I + NumLanes <= Size; I += NumLanes)
+    for (std::size_t L = 0; L < NumLanes; ++L) {
+      Lanes[L] ^= Bytes[I + L];
+      Lanes[L] *= Prime;
+    }
+  for (; I < Size; ++I) {
+    Lanes[I % NumLanes] ^= Bytes[I];
+    Lanes[I % NumLanes] *= Prime;
+  }
+  std::uint64_t Hash = Basis;
+  for (std::uint64_t Lane : Lanes)
+    for (int B = 0; B < 8; ++B) {
+      const unsigned char Byte = static_cast<unsigned char>(Lane >> (8 * B));
+      Hash = Fnv1a(Hash, &Byte, 1);
+    }
+  const unsigned char Separator = 0x1f; // keep (a+b, c) apart from (a, b+c)
+  Hash = Fnv1a(Hash, &Separator, 1);
+  Hash = Fnv1a(Hash,
+               reinterpret_cast<const unsigned char *>(
+                   CompilerFingerprint.data()),
+               CompilerFingerprint.size());
 
   char Buffer[17];
   std::snprintf(Buffer, sizeof(Buffer), "%016llx",

@@ -93,7 +93,8 @@ public:
   /// $AN5D_KERNEL_CACHE > $HOME/.cache/an5d/kernels > <tmp>/an5d-kernel-cache.
   static std::string defaultDirectory();
 
-  /// FNV-1a 64-bit over source and fingerprint, as 16 hex digits.
+  /// 64-bit FNV-1a over the source (eight interleaved byte lanes, folded)
+  /// and then the fingerprint, as 16 hex digits.
   static std::string hashKey(const std::string &Source,
                              const std::string &CompilerFingerprint);
 

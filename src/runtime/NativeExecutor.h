@@ -31,7 +31,7 @@
 ///                long long timeSteps);    // 0 on success; buf0 and buf1
 ///                                         // must be distinct (the blocked
 ///                                         // invocation restrict-qualifies
-///                                         // them)
+///                                         // them); reentrant
 ///
 /// Both buffers are padded row-major grids with a halo of radius cells per
 /// side of every dimension in `extents` (streaming dimension first) —
@@ -89,11 +89,10 @@ struct NativeRuntimeOptions {
 /// A loaded native kernel for one (stencil, configuration) pair.
 ///
 /// Construction compiles (or fetches) and loads the kernel; check ok()
-/// before running. The executor is usable from any thread: the kernel's
-/// grid extents live in per-library globals, so `an5d_run` serializes
-/// concurrent entries into the *same* loaded kernel behind an internal
-/// mutex (parallelism lives inside the invocation, so this costs
-/// nothing); distinct kernels run concurrently without contention.
+/// before running. The executor is usable from any thread, concurrently:
+/// `an5d_run` is reentrant (extents are locals, every OpenMP thread owns
+/// its ring, and the library has no mutable file-scope state), so calls
+/// into the *same* loaded kernel at different extents do not interact.
 class NativeExecutor {
 public:
   /// Builds the kernel from an already lowered schedule (the tuner's

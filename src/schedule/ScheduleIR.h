@@ -12,7 +12,9 @@
 ///
 ///   - sim/BlockedExecutor executes it cell-by-cell (tape and tree modes),
 ///   - codegen/CppCodegen prints it as the OpenMP self-check program and
-///     the `an5d_run` kernel library,
+///     the `an5d_run` kernel library, emitting every invocation's ring
+///     depth, tier lags and reaches, load reaches, compute widths, block
+///     strides and chunking as constant tables indexed by degree,
 ///   - codegen/CudaCodegen prints it as the register-ring CUDA kernel and
 ///     its host driver, and
 ///   - analysis/ScheduleVerifier proves its invariants statically.

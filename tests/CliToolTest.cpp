@@ -316,8 +316,9 @@ TEST(CliTool, EmitOmp1dWritesKernelLibrary) {
                    std::istreambuf_iterator<char>());
   EXPECT_NE(Text.find("int an5d_run("), std::string::npos);
   EXPECT_NE(Text.find("#pragma omp"), std::string::npos);
-  EXPECT_NE(Text.find("size_t pidx(long long i)"), std::string::npos)
-      << "1D kernels index a single dimension";
+  EXPECT_NE(Text.find("long long NS, Real *__restrict__ ring)"),
+            std::string::npos)
+      << "1D kernels take a single extent";
   EXPECT_EQ(Text.find("BS1"), std::string::npos)
       << "1D kernels have no blocked dimensions";
 }

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/KernelLint.h"
 #include "codegen/CppCodegen.h"
 #include "codegen/CudaCodegen.h"
 #include "codegen/ExprEmitter.h"
@@ -13,6 +14,11 @@
 #include "tuning/Tuner.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <sstream>
 
 using namespace an5d;
 
@@ -49,6 +55,41 @@ TEST(ExprEmitter, LiteralsCarryTypeSuffix) {
   EXPECT_EQ(emitLiteral(5.1, ScalarType::Float), "5.1f");
   EXPECT_EQ(emitLiteral(118.0, ScalarType::Double), "118.0");
   EXPECT_EQ(emitLiteral(0.25, ScalarType::Double), "0.25");
+}
+
+// Literals are spelled exactly as printf's %.9g / %.17g, suffix rules
+// included, across magnitudes, signs, integers and subnormals.
+TEST(ExprEmitter, LiteralsMatchPrintfSpelling) {
+  std::uint64_t State = 42;
+  for (int I = 0; I < 4000; ++I) {
+    State = State * 6364136223846793005ULL + 1442695040888963407ULL;
+    double Value;
+    if (I % 4 == 0) {
+      Value = static_cast<double>(static_cast<int>(State >> 40) % 2000 - 1000);
+    } else {
+      const std::uint64_t Bits = State & ~(0x7ffULL << 52);
+      const std::uint64_t Exponent = ((State >> 20) % 80 + 983) << 52;
+      std::memcpy(&Value, I % 4 == 1 ? &State : &Bits, sizeof(Value));
+      if (I % 4 == 2) {
+        const std::uint64_t Normal = Bits | Exponent;
+        std::memcpy(&Value, &Normal, sizeof(Value));
+      }
+      if (Value != Value || Value - Value != 0)
+        continue; // NaN / infinity
+    }
+    for (ScalarType Type : {ScalarType::Float, ScalarType::Double}) {
+      char Buffer[64];
+      std::snprintf(Buffer, sizeof(Buffer),
+                    Type == ScalarType::Float ? "%.9g" : "%.17g", Value);
+      std::string Want = Buffer;
+      if (Want.find('.') == std::string::npos &&
+          Want.find('e') == std::string::npos)
+        Want += ".0";
+      if (Type == ScalarType::Float)
+        Want += "f";
+      EXPECT_EQ(emitLiteral(Value, Type), Want);
+    }
+  }
 }
 
 TEST(ExprEmitter, ReadsGoThroughCallback) {
@@ -307,4 +348,150 @@ TEST(CppCodegen, ThreeDimensionalVariant) {
   EXPECT_NE(Source.find("int d2"), std::string::npos)
       << "3D read lambdas take three offsets";
   EXPECT_NE(Source.find("static const int BS2 = 10;"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Kernel-library hygiene: no STL, no mutable state
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The `#include` targets of \p Source, in order.
+std::vector<std::string> includesOf(const std::string &Source) {
+  std::vector<std::string> Out;
+  std::istringstream In(Source);
+  for (std::string Line; std::getline(In, Line);)
+    if (Line.rfind("#include ", 0) == 0)
+      Out.push_back(Line.substr(9));
+  return Out;
+}
+
+std::string trimmed(const std::string &Text) {
+  const std::size_t Begin = Text.find_first_not_of(" \t\n");
+  if (Begin == std::string::npos)
+    return "";
+  return Text.substr(Begin, Text.find_last_not_of(" \t\n") - Begin + 1);
+}
+
+/// The mutable state of a translation unit, one entry per offender:
+/// every statement outside a function must be a `static const` constant
+/// or a `using` alias, and no function may declare a `static` local.
+/// extern "C" blocks are transparent; comments, strings and preprocessor
+/// lines are ignored.
+std::vector<std::string> mutableStateOf(const std::string &Source) {
+  std::string Code;
+  std::istringstream In(stripCommentsAndStrings(Source));
+  for (std::string Line; std::getline(In, Line);)
+    if (trimmed(Line).rfind("#", 0) != 0)
+      Code += Line + "\n";
+
+  std::vector<std::string> Offenders;
+  std::vector<char> Open; // per open brace: 'e'xtern, 'i'nitializer, 'f'unction
+  std::string Statement, Body;
+  auto InFunction = [&] {
+    return std::find(Open.begin(), Open.end(), 'f') != Open.end();
+  };
+  for (char C : Code) {
+    const bool FileScope = !InFunction();
+    if (C == '{' && FileScope) {
+      const std::string Head = trimmed(Statement);
+      if (Head == "extern") {
+        Open.push_back('e');
+        Statement.clear();
+        continue;
+      }
+      const bool Initializer = (!Open.empty() && Open.back() == 'i') ||
+                               (!Head.empty() && Head.back() == '=');
+      Open.push_back(Initializer ? 'i' : 'f');
+      Statement += C;
+      continue;
+    }
+    if (!FileScope) {
+      Body += C;
+      if (C == '{')
+        Open.push_back('b');
+      if (C != '}')
+        continue;
+      Open.pop_back();
+      if (!InFunction()) {
+        std::istringstream Words(Body);
+        for (std::string Word; Words >> Word;)
+          if (Word == "static")
+            Offenders.push_back("function-local static in: " +
+                                trimmed(Statement));
+        Statement.clear();
+        Body.clear();
+      }
+      continue;
+    }
+    if (C == '}') {
+      const char Kind = Open.empty() ? 'e' : Open.back();
+      if (!Open.empty())
+        Open.pop_back();
+      if (Kind == 'e')
+        continue;
+    }
+    Statement += C;
+    if (C == ';' && Open.empty()) {
+      const std::string Decl = trimmed(Statement);
+      if (Decl.rfind("static const ", 0) != 0 && Decl.rfind("using ", 0) != 0)
+        Offenders.push_back(Decl);
+      Statement.clear();
+    }
+  }
+  return Offenders;
+}
+
+} // namespace
+
+// The kernel library is a leaf TU: its only includes are <omp.h> (behind
+// _OPENMP) and <cmath> for stencils that call a math function, it names
+// no std:: facility, and all its file-scope data is constant, so
+// concurrent an5d_run calls share nothing.
+TEST(CppCodegen, KernelLibraryHasNoStlAndNoMutableState) {
+  struct Case {
+    const char *Stencil;
+    int BT;
+    std::vector<int> BS;
+  } Cases[] = {{"j1d3pt", 3, {}},
+               {"j2d5pt", 3, {32}},
+               {"gradient2d", 2, {32}},
+               {"star3d1r", 2, {12, 10}}};
+  for (const Case &K : Cases) {
+    auto P = makeBenchmarkStencil(K.Stencil, ScalarType::Float);
+    BlockConfig C;
+    C.BT = K.BT;
+    C.BS = K.BS;
+    C.HS = 16;
+    const std::string Source = generateCppKernelLibrary(*P, lowerSchedule(*P, C));
+    std::vector<std::string> Want = {"<omp.h>"};
+    if (P->usesMathCall())
+      Want.insert(Want.begin(), "<cmath>");
+    EXPECT_EQ(includesOf(Source), Want) << K.Stencil;
+    EXPECT_EQ(stripCommentsAndStrings(Source).find("std::"),
+              std::string::npos)
+        << K.Stencil;
+    EXPECT_EQ(mutableStateOf(Source), std::vector<std::string>{})
+        << K.Stencil;
+  }
+  EXPECT_TRUE(makeBenchmarkStencil("gradient2d", ScalarType::Float)
+                  ->usesMathCall())
+      << "the <cmath> case must be covered";
+}
+
+// The state check above is not vacuous: it flags a mutable global and a
+// function-local static, and accepts constants, aliases and functions.
+TEST(CppCodegen, MutableStateCheckFlagsGlobalsAndLocalStatics) {
+  EXPECT_EQ(mutableStateOf("using Real = float;\n"
+                           "static const long long T[2][2] = {{1, 2}, {3, "
+                           "4}};\n"
+                           "static inline int f(int a) { return a; }\n"
+                           "extern \"C\" {\nint g(void) { return 1; }\n}\n"),
+            std::vector<std::string>{});
+  EXPECT_EQ(mutableStateOf("static long long NS = 0;\n").size(), 1u);
+  EXPECT_EQ(mutableStateOf("extern \"C\" {\nint run(void) {\n  if (1) "
+                           "{\n    static int lock;\n  }\n  return 0;\n}"
+                           "\n}\n")
+                .size(),
+            1u);
 }

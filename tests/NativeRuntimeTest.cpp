@@ -37,9 +37,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace an5d;
@@ -114,6 +116,32 @@ void expectNativeMatchesReference(const StencilProgram &Program,
       << Program.name() << " native result differs from the reference";
 }
 
+/// Runs \p Steps of \p Executor at \p Extents through runRaw and expects
+/// the result bitwise equal to the tree-walk reference; returns false
+/// (with a failure recorded) on any mismatch.
+template <typename T>
+bool runMatchesReference(const NativeExecutor &Executor,
+                         const StencilProgram &Program,
+                         const std::vector<long long> &Extents,
+                         long long Steps) {
+  Grid<T> Ref0(Extents, Program.radius()), Ref1(Extents, Program.radius());
+  fillGridDeterministic(Ref0, 7 + static_cast<int>(Steps));
+  copyGrid(Ref0, Ref1);
+  Grid<T> Nat0 = Ref0, Nat1 = Ref0;
+  referenceRun<T>(Program, {&Ref0, &Ref1}, Steps);
+  int Rc = Executor.runRaw(Nat0.data(), Nat1.data(), Extents.data(),
+                           static_cast<int>(Extents.size()), Steps);
+  const Grid<T> &Want = Steps % 2 == 0 ? Ref0 : Ref1;
+  const Grid<T> &Got = Steps % 2 == 0 ? Nat0 : Nat1;
+  bool Same = Rc == 0 && Want.raw() == Got.raw();
+  std::string Shape;
+  for (long long E : Extents)
+    Shape += (Shape.empty() ? "" : "x") + std::to_string(E);
+  EXPECT_TRUE(Same) << Program.name() << " " << Shape << " x " << Steps
+                    << " steps (rc " << Rc << ")";
+  return Same;
+}
+
 /// Every built-in benchmark: the Table 3 2D/3D set plus the extra 1D
 /// stencils — the C++ kernel backend supports all of them.
 std::vector<std::string> nativeBackendBenchmarks() {
@@ -139,6 +167,27 @@ TEST_P(NativeEquivalence, MatchesReferenceBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllBenchmarks, NativeEquivalence,
+    ::testing::ValuesIn(nativeBackendBenchmarks()),
+    [](const ::testing::TestParamInfo<std::string> &Info) {
+      std::string Name = Info.param;
+      for (char &C : Name)
+        if (C == '-')
+          C = '_';
+      return Name;
+    });
+
+// The same contract in double precision: every builtin, bit for bit.
+class NativeEquivalenceDouble : public ::testing::TestWithParam<std::string> {
+};
+
+TEST_P(NativeEquivalenceDouble, MatchesReferenceBitwise) {
+  auto Program = makeBenchmarkStencil(GetParam(), ScalarType::Double);
+  ASSERT_NE(Program, nullptr);
+  expectNativeMatchesReference<double>(*Program, testConfig(*Program), 9);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBenchmarks, NativeEquivalenceDouble,
     ::testing::ValuesIn(nativeBackendBenchmarks()),
     [](const ::testing::TestParamInfo<std::string> &Info) {
       std::string Name = Info.param;
@@ -213,6 +262,105 @@ TEST(NativeRuntime, OneDimensionalDoublePrecisionMatches) {
   auto Program = makeBenchmarkStencil("j1d3pt", ScalarType::Double);
   ASSERT_NE(Program, nullptr);
   expectNativeMatchesReference<double>(*Program, testConfig(*Program), 9);
+}
+
+//===----------------------------------------------------------------------===//
+// Awkward extents and step counts, one kernel per dimensionality
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Step counts around the temporal tile bT = 3: none, one, fewer than
+/// bT, odd and above bT, and a remainder block after two full ones.
+const long long SweepSteps[] = {0, 1, 2, 5, 7};
+
+/// Runs every extent in \p AxisExtents on every axis (the other axes
+/// cycle through the same list, so all values meet every axis) for every
+/// step count, through one compiled kernel: extents are run-time
+/// arguments, so a single shared object serves them all.
+template <typename T>
+void sweepExtents(const char *Name, ScalarType Type, BlockConfig Config,
+                  const std::vector<long long> &AxisExtents) {
+  auto Program = makeBenchmarkStencil(Name, Type);
+  ASSERT_NE(Program, nullptr);
+  NativeExecutor Executor(*Program, Config,
+                          fastBuildOptions(sharedCacheDir()));
+  ASSERT_TRUE(Executor.ok()) << Executor.error();
+  const std::size_t Count = AxisExtents.size();
+  for (std::size_t I = 0; I < Count; ++I) {
+    std::vector<long long> Extents;
+    for (int D = 0; D < Program->numDims(); ++D)
+      Extents.push_back(AxisExtents[(I + static_cast<std::size_t>(D) * 3) %
+                                    Count]);
+    for (long long Steps : SweepSteps)
+      if (!runMatchesReference<T>(Executor, *Program, Extents, Steps))
+        return;
+  }
+}
+
+} // namespace
+
+// 1D: radius 2, bT=3, hS=7. Extents 1 and 2 (smaller than one radius),
+// primes, hS +- 1, and lengths that leave a partial last chunk.
+TEST(NativeExtentSweep, OneDimensionalKernelMatchesAtAwkwardExtents) {
+  BlockConfig Config;
+  Config.BT = 3;
+  Config.HS = 7;
+  sweepExtents<float>("star1d2r", ScalarType::Float, Config,
+                      {1, 2, 13, 6, 8, 23, 50});
+}
+
+// 2D: bT=3, bS=16 (compute width 10 at full degree), hS=5. Extents 1, 2,
+// a prime, smaller than bS, bS -+ 1, and not a multiple of hS.
+TEST(NativeExtentSweep, TwoDimensionalKernelMatchesAtAwkwardExtents) {
+  BlockConfig Config;
+  Config.BT = 3;
+  Config.BS = {16};
+  Config.HS = 5;
+  sweepExtents<float>("j2d5pt", ScalarType::Float, Config,
+                      {1, 2, 13, 9, 15, 17, 23});
+}
+
+// 3D (double): bT=3, bS=12x11, hS=4. The same extent classes per axis.
+TEST(NativeExtentSweep, ThreeDimensionalKernelMatchesAtAwkwardExtents) {
+  BlockConfig Config;
+  Config.BT = 3;
+  Config.BS = {12, 11};
+  Config.HS = 4;
+  sweepExtents<double>("star3d1r", ScalarType::Double, Config,
+                       {1, 2, 7, 5, 11, 13, 10});
+}
+
+//===----------------------------------------------------------------------===//
+// Reentrancy: an5d_run keeps no state between or across calls
+//===----------------------------------------------------------------------===//
+
+// Two host threads drive one loaded kernel at the same time, each at its
+// own extents, many times over. The kernel passes extents down as locals
+// and gives every OpenMP thread its own ring, so the runs must not
+// interfere: each stays bitwise equal to the reference. (Under TSan the
+// kernels build without OpenMP, so any shared mutable state in the
+// library is reported as a race.)
+TEST(NativeRuntime, ConcurrentRunsAtDifferentExtentsMatchReference) {
+  auto Program = makeBenchmarkStencil("j2d5pt", ScalarType::Float);
+  NativeExecutor Executor(*Program, testConfig(*Program),
+                          fastBuildOptions(sharedCacheDir()));
+  ASSERT_TRUE(Executor.ok()) << Executor.error();
+  std::atomic<int> Ready{0};
+  std::atomic<bool> AllMatch{true};
+  auto Worker = [&](std::vector<long long> Extents, long long Steps) {
+    Ready.fetch_add(1);
+    while (Ready.load() < 2) {
+    }
+    for (int Round = 0; Round < 12; ++Round)
+      if (!runMatchesReference<float>(Executor, *Program, Extents, Steps))
+        AllMatch = false;
+  };
+  std::thread A(Worker, std::vector<long long>{41, 37}, 9);
+  std::thread B(Worker, std::vector<long long>{17, 64}, 6);
+  A.join();
+  B.join();
+  EXPECT_TRUE(AllMatch.load());
 }
 
 //===----------------------------------------------------------------------===//
@@ -355,6 +503,19 @@ TEST(KernelCache, HashKeyIsStableAndDiscriminating) {
   EXPECT_NE(KeyA, KernelCache::hashKey("source-a", "compiler-y"));
   // The separator keeps (source, fingerprint) splits distinct.
   EXPECT_NE(KernelCache::hashKey("ab", "c"), KernelCache::hashKey("a", "bc"));
+}
+
+// The source is hashed in interleaved lanes; a one-byte change anywhere
+// (every lane, the unrolled body and the tail) must change the key.
+TEST(KernelCache, HashKeySeesEveryByteOfLongSources) {
+  const std::string Base(37, 'k');
+  const std::string Key = KernelCache::hashKey(Base, "compiler-x");
+  for (std::size_t I = 0; I < Base.size(); ++I) {
+    std::string Changed = Base;
+    Changed[I] = 'K';
+    EXPECT_NE(KernelCache::hashKey(Changed, "compiler-x"), Key) << I;
+  }
+  EXPECT_NE(KernelCache::hashKey(Base + "k", "compiler-x"), Key);
 }
 
 TEST(KernelCache, SecondBuildHitsWithoutCompiling) {
