@@ -49,7 +49,8 @@ Workload makeWorkload(const std::string &Name) {
   W.Program = makeBenchmarkStencil(Name, ScalarType::Float);
   Tuner T(GpuSpec::teslaV100());
   for (const BlockConfig &Config : T.enumerateConfigs(*W.Program)) {
-    if (!Config.isFeasible(W.Program->radius()))
+    if (!Config.isFeasible(W.Program->radius(),
+                           GpuSpec::teslaV100().MaxThreadsPerBlock))
       continue;
     W.Schedules.push_back(lowerSchedule(*W.Program, Config));
   }

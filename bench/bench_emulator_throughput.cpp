@@ -5,17 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Google-benchmark timings of the functional components themselves (not a
-/// paper figure): the reference executor and the blocked N.5D emulator —
-/// both through the default compiled-tape engine and the recursive
-/// tree-walk oracle — plus the thread census and the full tuning flow.
+/// paper figure): the reference executor — through the default
+/// compiled-tape engine and the recursive tree walk — and the blocked
+/// N.5D emulator, plus the thread census and the full tuning flow.
 /// The emulator is the correctness oracle and the tuner's inner loop, so
 /// its throughput bounds how many scenarios the whole reproduction can
 /// sweep; tools/bench_emulator.sh dumps these numbers to
 /// BENCH_emulator.json to track the trajectory PR over PR.
 ///
-/// The *TapeVsTreeWalk cases time the tape in the benchmark loop and the
-/// tree walk once up front, reporting the ratio as the
-/// "tape_speedup_x" counter (≥5x expected on the J2d5pt cases).
+/// The ReferenceJ2d5ptTapeVsTreeWalk case times the tape in the benchmark
+/// loop and the tree walk once up front, reporting the ratio as the
+/// "tape_speedup_x" counter (≥5x expected).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,15 +57,12 @@ void runReferenceBench(benchmark::State &State, const StencilProgram &P,
 
 void runBlockedBench(benchmark::State &State, const StencilProgram &P,
                      const BlockConfig &Config,
-                     std::vector<long long> Extents, long long Steps,
-                     EvalStrategy Strategy) {
+                     std::vector<long long> Extents, long long Steps) {
   Grid<float> A(Extents, P.radius()), B(Extents, P.radius());
   fillGridDeterministic(A, 1);
   copyGrid(A, B);
-  BlockedExecOptions Options;
-  Options.Strategy = Strategy;
   for (auto _ : State) {
-    blockedRun<float>(P, Config, {&A, &B}, Steps, Options);
+    blockedRun<float>(P, Config, {&A, &B}, Steps);
     benchmark::DoNotOptimize(A.raw().data());
   }
   State.SetItemsProcessed(State.iterations() * cellSteps(Extents, Steps));
@@ -140,21 +137,9 @@ static void BM_BlockedJ2d5pt(benchmark::State &State) {
   Config.BT = static_cast<int>(State.range(0));
   Config.BS = {64};
   Config.HS = 0;
-  runBlockedBench(State, *P, Config, {64, 64}, Config.BT,
-                  EvalStrategy::CompiledTape);
+  runBlockedBench(State, *P, Config, {64, 64}, Config.BT);
 }
 BENCHMARK(BM_BlockedJ2d5pt)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-static void BM_BlockedJ2d5ptTreeWalk(benchmark::State &State) {
-  auto P = makeJacobi2d5pt(ScalarType::Float);
-  BlockConfig Config;
-  Config.BT = static_cast<int>(State.range(0));
-  Config.BS = {64};
-  Config.HS = 0;
-  runBlockedBench(State, *P, Config, {64, 64}, Config.BT,
-                  EvalStrategy::TreeWalk);
-}
-BENCHMARK(BM_BlockedJ2d5ptTreeWalk)->Arg(1)->Arg(8);
 
 static void BM_BlockedStar2d2r(benchmark::State &State) {
   // rad 2 at degree 2: 8 halo lanes per side of the 64-lane block.
@@ -163,8 +148,7 @@ static void BM_BlockedStar2d2r(benchmark::State &State) {
   Config.BT = 2;
   Config.BS = {64};
   Config.HS = 0;
-  runBlockedBench(State, *P, Config, {64, 64}, 2,
-                  EvalStrategy::CompiledTape);
+  runBlockedBench(State, *P, Config, {64, 64}, 2);
 }
 BENCHMARK(BM_BlockedStar2d2r);
 
@@ -174,8 +158,7 @@ static void BM_BlockedStar3d(benchmark::State &State) {
   Config.BT = 2;
   Config.BS = {16, 16};
   Config.HS = 0;
-  runBlockedBench(State, *P, Config, {24, 24, 24}, 2,
-                  EvalStrategy::CompiledTape);
+  runBlockedBench(State, *P, Config, {24, 24, 24}, 2);
 }
 BENCHMARK(BM_BlockedStar3d);
 
@@ -186,13 +169,12 @@ static void BM_BlockedBox3d2r(benchmark::State &State) {
   Config.BT = 1;
   Config.BS = {16, 16};
   Config.HS = 0;
-  runBlockedBench(State, *P, Config, {24, 24, 24}, 2,
-                  EvalStrategy::CompiledTape);
+  runBlockedBench(State, *P, Config, {24, 24, 24}, 2);
 }
 BENCHMARK(BM_BlockedBox3d2r);
 
 //===----------------------------------------------------------------------===//
-// Tape vs tree-walk comparison counters
+// Tape vs tree-walk comparison counter
 //===----------------------------------------------------------------------===//
 
 static void BM_ReferenceJ2d5ptTapeVsTreeWalk(benchmark::State &State) {
@@ -218,36 +200,6 @@ static void BM_ReferenceJ2d5ptTapeVsTreeWalk(benchmark::State &State) {
                  : 0;
 }
 BENCHMARK(BM_ReferenceJ2d5ptTapeVsTreeWalk);
-
-static void BM_BlockedJ2d5ptTapeVsTreeWalk(benchmark::State &State) {
-  auto P = makeJacobi2d5pt(ScalarType::Float);
-  BlockConfig Config;
-  Config.BT = 4;
-  Config.BS = {64};
-  Config.HS = 0;
-  Grid<float> A({64, 64}, 1), B({64, 64}, 1);
-  fillGridDeterministic(A, 1);
-  copyGrid(A, B);
-  BlockedExecOptions Tree;
-  Tree.Strategy = EvalStrategy::TreeWalk;
-  double TreeNs = timeTreeWalkNs([&] {
-    blockedRun<float>(*P, Config, {&A, &B}, Config.BT, Tree);
-  });
-  double TapeNs = 0;
-  for (auto _ : State) {
-    auto Start = std::chrono::steady_clock::now();
-    blockedRun<float>(*P, Config, {&A, &B}, Config.BT);
-    auto End = std::chrono::steady_clock::now();
-    TapeNs += std::chrono::duration<double, std::nano>(End - Start).count();
-    benchmark::DoNotOptimize(A.raw().data());
-  }
-  State.SetItemsProcessed(State.iterations() * Config.BT * 64 * 64);
-  State.counters["treewalk_ns"] = TreeNs;
-  State.counters["tape_speedup_x"] =
-      TapeNs > 0 ? TreeNs * static_cast<double>(State.iterations()) / TapeNs
-                 : 0;
-}
-BENCHMARK(BM_BlockedJ2d5ptTapeVsTreeWalk);
 
 //===----------------------------------------------------------------------===//
 // Census and tuner

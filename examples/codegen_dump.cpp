@@ -18,6 +18,7 @@
 #include "tuning/Tuner.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -62,7 +63,7 @@ int main(int argc, char **argv) {
     C.BT = std::min(Outcome.Best.BT, 4);
     C.BS = {32};
     C.HS = 12;
-    if (!C.isFeasible(Program->radius()))
+    if (!C.isFeasible(Program->radius(), INT_MAX))
       C.BT = 1;
     Small.TimeSteps = 11;
     std::ofstream Out(Base + "_check.cpp");
@@ -73,7 +74,7 @@ int main(int argc, char **argv) {
     C.BT = 2;
     C.BS = {10 + 4 * Program->radius(), 10 + 4 * Program->radius()};
     C.HS = 0;
-    if (!C.isFeasible(Program->radius()))
+    if (!C.isFeasible(Program->radius(), INT_MAX))
       C.BT = 1;
     Small.TimeSteps = 7;
     std::ofstream Out(Base + "_check.cpp");

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cassert>
 #include <charconv>
+#include <climits>
 
 namespace an5d {
 
@@ -443,13 +444,13 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
     const long long c0 = chunk * chunkStride;
     const long long c1 = minll(c0 + chunkLen, NS);
     // Per tier: the plane window and the ring-slot lag. The final tier
-    // evaluates only the chunk's own planes.
+    // (reach 0) gets exactly the chunk's own planes.
     long long pLo[BT], pHi[BT];
     int lagSlot[BT];
     for (int t = 0; t < degree; ++t) {
       const long long reach = REACH[d][t];
-      pLo[t] = t == d ? c0 : maxll(c0 - reach, -HALO);
-      pHi[t] = t == d ? c1 - 1 : minll(c1 - 1 + reach, NS - 1 + HALO);
+      pLo[t] = maxll(c0 - reach, -HALO);
+      pHi[t] = minll(c1 - 1 + reach, NS - 1 + HALO);
       lagSlot[t] = (int)(LAG[d][t] % depth);
     }
 )cpp";
@@ -506,31 +507,25 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
       const long long origin = b * stride;
       // The loaded span, cut to the padded grid: lane l is column lo + l,
       // at offset inLane + l of a padded row.
-      const long long span = origin - SPAN_HALO[d], lo = maxll(span, -RAD);
+      const long long span = origin - SPAN_HALO[d], lo = maxll(span, -HALO);
       const long long n = BS1 - (lo - span), inLane = lo + RAD;
       // Lane segments: lanes 0 .. i0-1 and i1 .. e1-1 are boundary lanes
       // pinned to the input, lanes i0 .. i1-1 interior. Lanes from e1 on
       // lie past the padded grid and are never read.
       const long long i0 = clampll(-lo, 0, n), i1 = clampll(N1 - lo, 0, n);
-      const long long e1 = clampll(N1 + RAD - lo, 0, n);
+      const long long e1 = clampll(N1 + HALO - lo, 0, n);
       // Per tier: the plane window, the valid lanes v0 .. v1-1 (interior
       // lanes beyond them carry the producer's value) and the ring-slot
-      // lag. The final tier evaluates only the planes and lanes it stores.
+      // lag. The final tier (reach 0) gets exactly the planes and lanes it
+      // stores.
       long long pLo[BT], pHi[BT], v0[BT], v1[BT];
       int lagSlot[BT];
       for (int t = 0; t < degree; ++t) {
         const long long reach = REACH[d][t];
-        if (t == d) {
-          pLo[t] = c0;
-          pHi[t] = c1 - 1;
-          v0[t] = clampll(maxll(origin, 0) - lo, 0, n);
-          v1[t] = clampll(minll(origin + cw, N1) - lo, v0[t], n);
-        } else {
-          pLo[t] = maxll(c0 - reach, -HALO);
-          pHi[t] = minll(c1 - 1 + reach, NS - 1 + HALO);
-          v0[t] = clampll(origin - reach - lo, i0, i1);
-          v1[t] = clampll(origin + cw + reach - lo, v0[t], i1);
-        }
+        pLo[t] = maxll(c0 - reach, -HALO);
+        pHi[t] = minll(c1 - 1 + reach, NS - 1 + HALO);
+        v0[t] = clampll(origin - reach - lo, i0, i1);
+        v1[t] = clampll(origin + cw + reach - lo, v0[t], i1);
         lagSlot[t] = (int)(LAG[d][t] % depth);
       }
 )cpp";
@@ -610,39 +605,30 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
         // The loaded span, cut to the padded grid: lane (j, l) is cell
         // (lo1 + j, lo2 + l), at offset inLane + j * S1 + l of a padded
         // plane and j * BS2 + l of a ring sub-plane.
-        const long long span1 = o1 - SPAN_HALO[d], lo1 = maxll(span1, -RAD);
-        const long long span2 = o2 - SPAN_HALO[d], lo2 = maxll(span2, -RAD);
+        const long long span1 = o1 - SPAN_HALO[d], lo1 = maxll(span1, -HALO);
+        const long long span2 = o2 - SPAN_HALO[d], lo2 = maxll(span2, -HALO);
         const long long n1 = BS1 - (lo1 - span1), n2 = BS2 - (lo2 - span2);
         const long long inLane = (lo1 + RAD) * S1 + lo2 + RAD;
         // Segments per blocked axis: lanes 0 .. i0-1 and i1 .. e1-1 are
         // pinned to the input, lanes i0 .. i1-1 interior.
         const long long i01 = clampll(-lo1, 0, n1), i11 = clampll(N1 - lo1, 0, n1);
-        const long long e11 = clampll(N1 + RAD - lo1, 0, n1);
+        const long long e11 = clampll(N1 + HALO - lo1, 0, n1);
         const long long i02 = clampll(-lo2, 0, n2), i12 = clampll(N2 - lo2, 0, n2);
-        const long long e12 = clampll(N2 + RAD - lo2, 0, n2);
+        const long long e12 = clampll(N2 + HALO - lo2, 0, n2);
         // Per tier: the plane window, the valid rows v01 .. v11-1 and lanes
         // v02 .. v12-1 (interior cells beyond them carry the producer's
-        // value) and the ring-slot lag. The final tier evaluates only the
-        // planes, rows and lanes it stores.
+        // value) and the ring-slot lag. The final tier (reach 0) gets
+        // exactly the planes, rows and lanes it stores.
         long long pLo[BT], pHi[BT], v01[BT], v11[BT], v02[BT], v12[BT];
         int lagSlot[BT];
         for (int t = 0; t < degree; ++t) {
           const long long reach = REACH[d][t];
-          if (t == d) {
-            pLo[t] = c0;
-            pHi[t] = c1 - 1;
-            v01[t] = clampll(maxll(o1, 0) - lo1, 0, n1);
-            v11[t] = clampll(minll(o1 + cw1, N1) - lo1, v01[t], n1);
-            v02[t] = clampll(maxll(o2, 0) - lo2, 0, n2);
-            v12[t] = clampll(minll(o2 + cw2, N2) - lo2, v02[t], n2);
-          } else {
-            pLo[t] = maxll(c0 - reach, -HALO);
-            pHi[t] = minll(c1 - 1 + reach, NS - 1 + HALO);
-            v01[t] = clampll(o1 - reach - lo1, i01, i11);
-            v11[t] = clampll(o1 + cw1 + reach - lo1, v01[t], i11);
-            v02[t] = clampll(o2 - reach - lo2, i02, i12);
-            v12[t] = clampll(o2 + cw2 + reach - lo2, v02[t], i12);
-          }
+          pLo[t] = maxll(c0 - reach, -HALO);
+          pHi[t] = minll(c1 - 1 + reach, NS - 1 + HALO);
+          v01[t] = clampll(o1 - reach - lo1, i01, i11);
+          v11[t] = clampll(o1 + cw1 + reach - lo1, v01[t], i11);
+          v02[t] = clampll(o2 - reach - lo2, i02, i12);
+          v12[t] = clampll(o2 + cw2 + reach - lo2, v02[t], i12);
           lagSlot[t] = (int)(LAG[d][t] % depth);
         }
 )cpp";
@@ -849,7 +835,7 @@ std::string generateCppCheckProgram(const StencilProgram &Program,
                                     const ProblemSize &Problem) {
   assert(Schedule.NumDims >= 1 && Schedule.NumDims <= 3 &&
          "C++ backend supports 1D, 2D and 3D stencils");
-  assert(Schedule.Config.isFeasible(Schedule.Radius) &&
+  assert(Schedule.Config.isFeasible(Schedule.Radius, INT_MAX) &&
          "codegen requires a feasible configuration");
   assert(static_cast<int>(Schedule.Config.BS.size()) ==
              Schedule.NumDims - 1 &&
@@ -866,7 +852,7 @@ std::string generateCppKernelLibrary(const StencilProgram &Program,
                                      const ScheduleIR &Schedule) {
   assert(Schedule.NumDims >= 1 && Schedule.NumDims <= 3 &&
          "C++ backend supports 1D, 2D and 3D stencils");
-  assert(Schedule.Config.isFeasible(Schedule.Radius) &&
+  assert(Schedule.Config.isFeasible(Schedule.Radius, INT_MAX) &&
          "codegen requires a feasible configuration");
   assert(static_cast<int>(Schedule.Config.BS.size()) ==
              Schedule.NumDims - 1 &&

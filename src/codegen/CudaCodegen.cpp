@@ -601,7 +601,8 @@ GeneratedCuda generateCuda(const StencilProgram &Program,
                            const CodegenOptions &Options) {
   assert(Schedule.NumDims == Program.numDims() &&
          "schedule was lowered from a different program");
-  assert(Schedule.Config.isFeasible(Schedule.Radius) &&
+  assert(Schedule.Config.isFeasible(Schedule.Radius,
+                                    /*CUDA threads per block=*/1024) &&
          "codegen requires a feasible configuration");
   assert(!Schedule.Invocations.empty() &&
          "codegen requires a schedule with bT >= 1");

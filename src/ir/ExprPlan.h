@@ -24,7 +24,9 @@
 /// recursive evalExpr walk, in the same order and the same type, the tape
 /// result matches the tree walk bit for bit — tests/ExprPlanTest.cpp
 /// enforces this over every benchmark stencil. The tree walk stays
-/// available behind EvalStrategy::TreeWalk as the oracle.
+/// available behind EvalStrategy::TreeWalk as the oracle, in the
+/// reference executor only: the blocked emulator runs the tape alone and
+/// is tested against the tree-walk reference.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +41,8 @@
 
 namespace an5d {
 
-/// Selects the evaluation engine an executor runs cells through.
+/// Selects the evaluation engine the reference executor runs cells
+/// through.
 enum class EvalStrategy {
   /// The flat postfix tape of ExprPlan (default; fast path).
   CompiledTape,

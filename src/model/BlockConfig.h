@@ -66,12 +66,15 @@ struct BlockConfig {
   /// that stores results).
   long long computeWidth(int BlockedDim, int Radius) const;
 
-  /// True if every blocked dimension retains a positive compute region and
-  /// the thread count respects \p MaxThreadsPerBlock. This cannot check
-  /// that BS has one entry per non-streaming dimension (the config does
-  /// not know the stencil's dimensionality); evaluateModel enforces that
-  /// arity contract for the model/tuner stack.
-  bool isFeasible(int Radius, int MaxThreadsPerBlock = 1024) const;
+  /// True if bT >= 1, every blocked dimension retains a positive compute
+  /// region and the thread count respects \p MaxThreadsPerBlock. GPU
+  /// callers pass their device's limit; the CPU renderings (emulator,
+  /// OpenMP kernel, census) have none and pass INT_MAX, which leaves only
+  /// the schedule condition. This cannot check that BS has one entry per
+  /// non-streaming dimension (the config does not know the stencil's
+  /// dimensionality); evaluateModel enforces that arity contract for the
+  /// model/tuner stack.
+  bool isFeasible(int Radius, int MaxThreadsPerBlock) const;
 
   std::string toString() const;
 };

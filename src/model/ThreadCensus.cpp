@@ -10,6 +10,7 @@
 #include "support/Support.h"
 
 #include <algorithm>
+#include <climits>
 
 namespace an5d {
 
@@ -68,7 +69,8 @@ static DimCounts countDim(long long Extent, int BlockSize, int BT,
 ThreadCensus computeThreadCensus(const StencilProgram &Program,
                                  const BlockConfig &Config,
                                  const ProblemSize &Problem) {
-  assert(Config.isFeasible(Program.radius()) &&
+  // The census counts the schedule, which has no threads-per-block limit.
+  assert(Config.isFeasible(Program.radius(), INT_MAX) &&
          "census requires a feasible configuration");
   assert(static_cast<int>(Problem.Extents.size()) == Program.numDims() &&
          "problem dimensionality mismatch");

@@ -56,7 +56,7 @@ struct ThreadCensus {
 };
 
 /// Counts one invocation of degree \p Config.BT over \p Problem.
-/// \pre Config.isFeasible(Program.radius()).
+/// \pre Config.isFeasible(Program.radius(), INT_MAX).
 ThreadCensus computeThreadCensus(const StencilProgram &Program,
                                  const BlockConfig &Config,
                                  const ProblemSize &Problem);

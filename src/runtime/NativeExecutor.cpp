@@ -13,6 +13,7 @@
 #include "runtime/NativeCompiler.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdlib>
 #include <string>
 
@@ -46,7 +47,9 @@ NativeExecutor::NativeExecutor(const StencilProgram &Program,
             std::to_string(Program.numDims()) + "D)";
     return;
   }
-  if (!Config.isFeasible(Program.radius())) {
+  // The OpenMP kernel has no threads-per-block limit: only the schedule
+  // condition applies.
+  if (!Config.isFeasible(Program.radius(), INT_MAX)) {
     Error = "configuration " + Config.toString() +
             " is infeasible for radius " + std::to_string(Program.radius());
     return;

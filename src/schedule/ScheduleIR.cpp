@@ -6,6 +6,9 @@
 
 #include "schedule/ScheduleIR.h"
 
+#include "support/Support.h"
+
+#include <algorithm>
 #include <cassert>
 
 using namespace an5d;
@@ -90,4 +93,37 @@ ScheduleIR an5d::lowerSchedule(const StencilProgram &Program,
   for (int Degree = 1; Degree <= Config.BT; ++Degree)
     IR.Invocations.push_back(lowerInvocation(Program, Config, Degree));
   return IR;
+}
+
+BlockSpan an5d::blockSpan(const InvocationSchedule &Inv, int Axis,
+                          long long Origin, long long Extent) {
+  assert(Axis >= 0 && static_cast<size_t>(Axis) < Inv.BS.size() &&
+         "blocked axis out of range");
+  const auto A = static_cast<size_t>(Axis);
+  const long long Span = Origin - Inv.LoadSpanHalo;
+  BlockSpan S;
+  S.Origin = Origin;
+  S.Width = Inv.ComputeWidth[A];
+  S.Lo = std::max(Span, -Inv.GridHalo);
+  S.N = Inv.BS[A] - (S.Lo - Span);
+  S.I0 = clampTo(-S.Lo, 0LL, S.N);
+  S.I1 = clampTo(Extent - S.Lo, 0LL, S.N);
+  S.E1 = clampTo(Extent + Inv.GridHalo - S.Lo, 0LL, S.N);
+  return S;
+}
+
+TierWindow an5d::tierWindow(const InvocationSchedule &Inv, int Tier,
+                            long long ChunkLo, long long ChunkHi,
+                            long long StreamExtent, const BlockSpan &Span) {
+  assert(Tier >= 0 && static_cast<size_t>(Tier) <= Inv.Tiers.size() &&
+         "tier outside [0, degree]");
+  const long long Reach =
+      Tier == 0 ? Inv.LoadStreamReach
+                : Inv.Tiers[static_cast<size_t>(Tier) - 1].Reach;
+  TierWindow W;
+  W.PLo = std::max(ChunkLo - Reach, -Inv.GridHalo);
+  W.PHi = std::min(ChunkHi - 1 + Reach, StreamExtent - 1 + Inv.GridHalo);
+  W.V0 = clampTo(Span.Origin - Reach - Span.Lo, Span.I0, Span.I1);
+  W.V1 = clampTo(Span.Origin + Span.Width + Reach - Span.Lo, W.V0, Span.I1);
+  return W;
 }

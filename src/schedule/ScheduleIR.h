@@ -10,7 +10,8 @@
 /// produced once by lowerSchedule(StencilProgram, BlockConfig) and then
 /// *rendered* — never re-derived — by every consumer:
 ///
-///   - sim/BlockedExecutor executes it cell-by-cell (tape and tree modes),
+///   - sim/BlockedExecutor executes it lane range by lane range through
+///     the compiled tape,
 ///   - codegen/CppCodegen prints it as the OpenMP self-check program and
 ///     the `an5d_run` kernel library, emitting every invocation's ring
 ///     depth, tier lags and reaches, load reaches, compute widths, block
@@ -38,6 +39,11 @@
 ///     blocked axes (origin stride = stored width), whose cross product
 ///     is the concurrent work-item set of the emitted `omp for` /
 ///     CUDA grid.
+///
+/// blockSpan and tierWindow are the one host definition of how a block
+/// sorts its lanes per tier (pinned, carried, valid) and which planes a
+/// tier processes; the emulator calls them and the emitted kernel spells
+/// the same clamps under the same names.
 ///
 /// Every field is a plain mutable value so tests can corrupt single
 /// invariants (shrink a halo, swap a wave, overlap two lanes) and assert
@@ -186,6 +192,47 @@ struct ScheduleIR {
 /// lower to an IR the verifier refutes, so callers decide policy.
 ScheduleIR lowerSchedule(const StencilProgram &Program,
                          const BlockConfig &Config);
+
+/// One blocked axis of one block, laid out as every CPU renderer lays it
+/// out: the loaded span [Origin - LoadSpanHalo, + BS) cut to the padded
+/// grid, so lane 0 is grid coordinate Lo >= -GridHalo. Lanes [0, I0) and
+/// [I1, E1) are boundary lanes, pinned to the input; lanes [I0, I1) are
+/// interior; lanes from E1 on lie past the padded grid and are never read
+/// or written.
+struct BlockSpan {
+  long long Origin = 0; ///< First cell of the block's compute region.
+  long long Width = 0;  ///< Compute-region width on this axis.
+  long long Lo = 0;     ///< Grid coordinate of lane 0.
+  long long N = 0;      ///< Lanes of the cut span.
+  long long I0 = 0;     ///< First interior lane.
+  long long I1 = 0;     ///< One past the last interior lane.
+  long long E1 = 0;     ///< One past the last existing lane.
+};
+
+/// The span of blocked axis \p Axis of the block whose compute region
+/// starts at \p Origin (0 <= Origin < Extent), on a grid with \p Extent
+/// interior cells along that axis.
+BlockSpan blockSpan(const InvocationSchedule &Inv, int Axis,
+                    long long Origin, long long Extent);
+
+/// What tier \p Tier of one block does in the chunk [ChunkLo, ChunkHi)
+/// (0 <= ChunkLo < ChunkHi <= StreamExtent): it processes planes
+/// [PLo, PHi] and evaluates lanes [V0, V1) of \p Span, where
+/// I0 <= V0 <= V1 <= I1. Its other interior lanes carry the producer's
+/// value, and a boundary plane (outside [0, StreamExtent)) pins every
+/// lane. Tier 0 is the load stage (reach LoadStreamReach). The final tier
+/// has reach 0, so the same formula gives its store window: the chunk's
+/// own planes and the interior lanes of the compute region.
+struct TierWindow {
+  long long PLo = 0; ///< First plane.
+  long long PHi = 0; ///< Last plane.
+  long long V0 = 0;  ///< First valid lane.
+  long long V1 = 0;  ///< One past the last valid lane.
+};
+
+TierWindow tierWindow(const InvocationSchedule &Inv, int Tier,
+                      long long ChunkLo, long long ChunkHi,
+                      long long StreamExtent, const BlockSpan &Span);
 
 } // namespace an5d
 

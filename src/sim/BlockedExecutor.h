@@ -25,27 +25,31 @@
 ///  * host-side temporal block scheduling with the parity adjustment of
 ///    Section 4.3.1.
 ///
-/// Cell evaluation runs through the compiled flat tape of ir/ExprPlan.h by
-/// default: each tap collapses to one flat ring offset
+/// Each block sorts its lanes per tier exactly as the emitted kernel does,
+/// through the one rule of schedule/ScheduleIR.h: blockSpan cuts each
+/// blocked axis of the span to the padded grid and splits it into pinned
+/// and interior lanes, and tierWindow gives each tier its plane window
+/// and valid lanes (the interior lanes beyond them carry the producer's
+/// value). Cell evaluation runs through the compiled flat tape of
+/// ir/ExprPlan.h: each tap collapses to one flat ring offset
 /// (slot(plane + tap_stream_offset) * laneCount + tap_lane_offset),
 /// re-linearized once per sub-plane and shared by every lane, so the
 /// innermost lane loops do no recursion, name resolution or allocation.
-/// The recursive evalExpr walk remains selectable
-/// (BlockedExecOptions::Strategy = EvalStrategy::TreeWalk) as the
-/// bit-for-bit oracle; both engines perform identical arithmetic, so a
-/// correct schedule reproduces the naive reference result bit for bit
-/// under either — this is the correctness oracle for the whole framework.
+/// The tape performs the arithmetic of the recursive evalExpr walk, so a
+/// correct schedule reproduces the naive reference (ReferenceExecutor,
+/// either engine) bit for bit.
 ///
-/// The PoisonHalos option writes quiet NaNs instead of the halo-overwrite
-/// values; since halo values must never feed a valid computation, results
-/// must still match the reference exactly (failure injection for tests).
+/// The PoisonHalos option fills each block's rings with quiet NaNs and
+/// writes NaNs instead of the halo-overwrite values; since neither a
+/// carried halo value nor a ring cell no tier wrote may feed a valid
+/// computation, results must still match the reference exactly (failure
+/// injection for tests).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef AN5D_SIM_BLOCKEDEXECUTOR_H
 #define AN5D_SIM_BLOCKEDEXECUTOR_H
 
-#include "ir/ExprEval.h"
 #include "ir/ExprPlan.h"
 #include "ir/StencilProgram.h"
 #include "model/BlockConfig.h"
@@ -56,6 +60,7 @@
 
 #include <algorithm>
 #include <array>
+#include <climits>
 #include <cmath>
 #include <limits>
 
@@ -72,12 +77,10 @@ struct BlockedExecStats {
 
 /// Behavioral switches for the blocked emulation.
 struct BlockedExecOptions {
-  /// Write NaN canaries into halo lanes and out-of-bound loads instead of
-  /// the halo-overwrite values. Valid outputs must stay NaN-free.
+  /// Fill the rings with NaN canaries per block and write NaNs into halo
+  /// lanes instead of the halo-overwrite values. Valid outputs must stay
+  /// NaN-free.
   bool PoisonHalos = false;
-
-  /// Which evaluation engine cells run through.
-  EvalStrategy Strategy = EvalStrategy::CompiledTape;
 
   /// When set, the emulator accumulates operation counts here.
   BlockedExecStats *Stats = nullptr;
@@ -90,33 +93,26 @@ public:
   /// tuner, the sweep — hand the IR down instead of re-lowering).
   BlockedExecutor(const StencilProgram &Program, ScheduleIR Schedule,
                   BlockedExecOptions Options = {})
-      : Program(Program), IR(std::move(Schedule)), Options(Options),
-        Radius(IR.Radius), RingDepth(static_cast<int>(IR.RingDepth)),
-        Tape(Program.plan()) {
+      : IR(std::move(Schedule)), Options(Options),
+        RingDepth(static_cast<int>(IR.RingDepth)), Tape(Program.plan()) {
     const BlockConfig &Config = IR.Config;
-    assert(Config.isFeasible(Radius) && "infeasible block configuration");
+    // A CPU rendering has no threads-per-block limit: only the schedule
+    // condition (bT >= 1, a compute region on every axis) applies.
+    assert(Config.isFeasible(IR.Radius, INT_MAX) &&
+           "infeasible block configuration");
     assert(static_cast<int>(Config.BS.size()) == Program.numDims() - 1 &&
            "one block size per non-streaming dimension required");
 
-    // Lane strides depend only on the configured block sizes, so each
-    // tap's lane-offset component linearizes once here; only the
-    // stream-dimension ring slot varies at run time (per sub-plane).
-    int NumBlockedDims = static_cast<int>(Config.BS.size());
-    LaneStride.assign(static_cast<std::size_t>(NumBlockedDims), 1);
-    {
-      long long Stride = 1;
-      for (int D = NumBlockedDims - 1; D >= 0; --D) {
-        LaneStride[static_cast<std::size_t>(D)] = Stride;
-        Stride *= Config.BS[static_cast<std::size_t>(D)];
-      }
-    }
+    // A tap's lane-offset component is constant per configuration (ring
+    // rows are BS[last] lanes apart); only the ring slot of its stream
+    // offset varies at run time (per sub-plane).
     const std::vector<std::vector<int>> &Taps = Program.plan().taps();
-    TapLane.assign(Taps.size(), 0);
-    for (std::size_t K = 0; K < Taps.size(); ++K)
-      for (int D = 0; D < NumBlockedDims; ++D)
-        TapLane[K] += static_cast<long long>(
-                          Taps[K][static_cast<std::size_t>(D) + 1]) *
-                      LaneStride[static_cast<std::size_t>(D)];
+    for (const std::vector<int> &Tap : Taps) {
+      long long Lane = 0;
+      for (std::size_t D = 0; D < Config.BS.size(); ++D)
+        Lane = Lane * Config.BS[D] + Tap[D + 1];
+      TapLane.push_back(Lane);
+    }
     TapOffsets.assign(Taps.size(), 0);
   }
 
@@ -147,21 +143,18 @@ public:
   }
 
 private:
-  const StencilProgram &Program;
   /// The lowered schedule; every structural quantity the executor uses
   /// (ring depth, compute widths, chunking, tier lags and reaches) is
   /// read from here, never re-derived.
   ScheduleIR IR;
   BlockedExecOptions Options;
-  int Radius;
   int RingDepth;
   CompiledTape<T> Tape;
-  std::vector<long long> LaneStride;
   /// Per-tap lane-offset component (constant per configuration).
   std::vector<long long> TapLane;
   /// Per-tap flat ring offsets, re-linearized per sub-plane.
   std::vector<long long> TapOffsets;
-  /// Per-tier ring buffers, reused (re-zeroed) across blocks.
+  /// Per-tier ring buffers, reused across blocks.
   std::vector<std::vector<T>> Rings;
 
   static T poisonValue() {
@@ -193,8 +186,6 @@ private:
         Inv.ChunkStride > 0 ? Inv.ChunkStride : StreamExtent;
     long long NumChunks = ceilDiv(StreamExtent, ChunkStride);
 
-    Rings.resize(static_cast<std::size_t>(Degree));
-
     // Iterate the worksharing decomposition the IR describes: all
     // (chunk, block-tuple) pairs; blocks are independent.
     std::vector<long long> BlockIndex(static_cast<std::size_t>(NumBlockedDims),
@@ -225,475 +216,157 @@ private:
     }
   }
 
-  /// Streams one thread-block through one chunk.
+  /// Streams one thread-block through one chunk, laid out as the emitted
+  /// kernel lays it out: lanes run along the last blocked axis, rows along
+  /// the first in 3D, each axis cut to the padded grid (blockSpan), and
+  /// every tier runs over the plane window and valid lanes tierWindow
+  /// gives it. Loads, pins and carries are contiguous row copies and
+  /// evaluations run over whole lane ranges.
   void runBlock(const Grid<T> &In, Grid<T> &Out,
                 const InvocationSchedule &Inv, long long ChunkLo,
                 long long ChunkHi, const std::vector<long long> &Origins) {
-    if (Options.Strategy == EvalStrategy::CompiledTape)
-      runBlockTape(In, Out, Inv, ChunkLo, ChunkHi, Origins);
-    else
-      runBlockTree(In, Out, Inv, ChunkLo, ChunkHi, Origins);
-  }
-
-  /// A maximal run of span positions of one blocked dimension over which
-  /// the lane classification (exists / interior / tier-valid) is constant.
-  /// Decomposing each dimension into such segments once per block lets the
-  /// tape path run branch-free inner loops — no per-lane coordinate
-  /// decode, no per-lane predicates.
-  struct LaneSeg {
-    long long Lo, Hi;
-    bool Exists, Interior, Valid;
-  };
-
-  /// Classifies span positions [0, \p BS) of a blocked dimension whose
-  /// span starts at coordinate \p SpanLo, for a tier with halo reach
-  /// \p Reach. \p Extent is the grid's interior extent of that dimension;
-  /// [\p OriginLo, OriginLo + Width) its compute region.
-  std::vector<LaneSeg> classifySpan(long long BS, long long SpanLo,
-                                    long long Extent, long long OriginLo,
-                                    long long Width, long long Reach) const {
-    auto ToSpan = [&](long long X) {
-      return clampTo(X - SpanLo, 0LL, BS);
-    };
-    long long ExLo = ToSpan(-Radius), ExHi = ToSpan(Extent + Radius);
-    long long InLo = ToSpan(0), InHi = ToSpan(Extent);
-    long long VaLo = ToSpan(OriginLo - Reach);
-    long long VaHi = ToSpan(OriginLo + Width + Reach);
-    long long Cuts[8] = {0, BS, ExLo, ExHi, InLo, InHi, VaLo, VaHi};
-    std::sort(std::begin(Cuts), std::end(Cuts));
-    std::vector<LaneSeg> Segs;
-    for (int I = 0; I + 1 < 8; ++I) {
-      long long Lo = Cuts[I], Hi = Cuts[I + 1];
-      if (Lo >= Hi)
-        continue;
-      Segs.push_back({Lo, Hi, Lo >= ExLo && Lo < ExHi,
-                      Lo >= InLo && Lo < InHi, Lo >= VaLo && Lo < VaHi});
-    }
-    return Segs;
-  }
-
-  /// Segment-decomposed streaming of one thread-block (CompiledTape
-  /// strategy). Semantically identical to runBlockTree — the equivalence
-  /// suite checks bit-for-bit agreement and identical op census — but
-  /// all per-lane work beyond the tape evaluation itself is hoisted:
-  /// loads/carries become contiguous row copies and evaluations run over
-  /// precomputed lane ranges.
-  void runBlockTape(const Grid<T> &In, Grid<T> &Out,
-                    const InvocationSchedule &Inv, long long ChunkLo,
-                    long long ChunkHi,
-                    const std::vector<long long> &Origins) {
     const int Degree = Inv.Degree;
-    const std::vector<long long> &ComputeWidth = Inv.ComputeWidth;
     const std::vector<long long> &Extents = In.extents();
-    long long StreamExtent = Extents[0];
-    int NumBlockedDims = static_cast<int>(Inv.BS.size());
-    int Halo = In.halo();
+    const long long StreamExtent = Extents[0];
+    const int NumBlockedDims = static_cast<int>(Inv.BS.size());
+    const int Halo = In.halo();
     const T *GridIn = In.data();
     T *GridOut = Out.data();
-    const T Fill = Options.PoisonHalos ? poisonValue() : T(0);
 
+    // An absent axis (both in 1D, the row axis in 2D) is a single lane,
+    // interior and valid at every tier.
+    const BlockSpan Single{0, 1, 0, 1, 0, 1, 1};
+    auto SpanOf = [&](int Axis) {
+      return blockSpan(Inv, Axis, Origins[static_cast<std::size_t>(Axis)],
+                       Extents[static_cast<std::size_t>(Axis) + 1]);
+    };
+    const BlockSpan Rows = NumBlockedDims == 2 ? SpanOf(0) : Single;
+    const BlockSpan Lanes =
+        NumBlockedDims >= 1 ? SpanOf(NumBlockedDims - 1) : Single;
+    // Row strides of the padded grid and of a ring sub-plane, and the
+    // offset of lane (0, 0) within a padded plane.
+    const long long GridRow = NumBlockedDims == 2 ? In.stride(1) : 0;
+    const long long RingRow = NumBlockedDims == 2 ? Inv.BS[1] : 0;
+    long long SpanBase = NumBlockedDims >= 1 ? Lanes.Lo + Halo : 0;
+    if (NumBlockedDims == 2)
+      SpanBase += (Rows.Lo + Halo) * GridRow;
+    const long long StreamStride = In.stride(0);
+    auto PlaneOf = [&](auto *Grid, long long Plane) {
+      return Grid + (Plane + Halo) * StreamStride + SpanBase;
+    };
+
+    // Per tier (0 is the load stage): the plane window and the valid rows
+    // and lanes.
+    std::vector<TierWindow> RowWin, LaneWin;
+    for (int Tier = 0; Tier <= Degree; ++Tier) {
+      RowWin.push_back(
+          tierWindow(Inv, Tier, ChunkLo, ChunkHi, StreamExtent, Rows));
+      LaneWin.push_back(
+          tierWindow(Inv, Tier, ChunkLo, ChunkHi, StreamExtent, Lanes));
+    }
+
+    // Like the kernel, the emulator never clears its rings: every cell a
+    // tier reads was written earlier in the same block (prover rules
+    // A204/A205). Poisoning fills them with NaN, so a read of a cell no
+    // tier wrote reaches the output.
     long long LaneCount = 1;
     for (long long B : Inv.BS)
       LaneCount *= B;
-
-    // Normalize to exactly two loop dimensions (outer, inner). Missing
-    // blocked dimensions become synthetic size-1 dims whose span is the
-    // whole interior, so classifySpan marks them exists/interior/valid
-    // everywhere and the loop structure stays uniform. Grid strides are 0
-    // for synthetic dims (their only position is 0).
-    struct LoopDim {
-      long long BS = 1, SpanLo = 0, Extent = 1, Origin = 0, Width = 1;
-      long long LaneStrideD = 1, GridStrideD = 0;
-    };
-    LoopDim Outer, Inner;
-    auto BindDim = [&](LoopDim &LD, int BD) {
-      LD.BS = Inv.BS[static_cast<std::size_t>(BD)];
-      LD.SpanLo = Origins[static_cast<std::size_t>(BD)] - Inv.LoadSpanHalo;
-      LD.Extent = Extents[static_cast<std::size_t>(BD) + 1];
-      LD.Origin = Origins[static_cast<std::size_t>(BD)];
-      LD.Width = ComputeWidth[static_cast<std::size_t>(BD)];
-      LD.LaneStrideD = LaneStride[static_cast<std::size_t>(BD)];
-      LD.GridStrideD = In.stride(BD + 1);
-    };
-    if (NumBlockedDims >= 1)
-      BindDim(NumBlockedDims == 1 ? Inner : Outer, 0);
-    if (NumBlockedDims == 2)
-      BindDim(Inner, 1);
-
-    // Per-tier span classification (tier 0 only consumes Exists).
-    std::vector<std::vector<LaneSeg>> OuterSegs(
-        static_cast<std::size_t>(Degree) + 1);
-    std::vector<std::vector<LaneSeg>> InnerSegs(
-        static_cast<std::size_t>(Degree) + 1);
-    for (int Tier = 0; Tier <= Degree; ++Tier) {
-      long long Reach = Tier == 0
-                            ? Inv.LoadSpanHalo
-                            : Inv.Tiers[static_cast<std::size_t>(Tier) - 1]
-                                  .Reach;
-      OuterSegs[static_cast<std::size_t>(Tier)] =
-          classifySpan(Outer.BS, Outer.SpanLo, Outer.Extent, Outer.Origin,
-                       Outer.Width, Reach);
-      InnerSegs[static_cast<std::size_t>(Tier)] =
-          classifySpan(Inner.BS, Inner.SpanLo, Inner.Extent, Inner.Origin,
-                       Inner.Width, Reach);
+    const auto RingCells = static_cast<std::size_t>(RingDepth * LaneCount);
+    Rings.resize(static_cast<std::size_t>(Degree));
+    for (std::vector<T> &Ring : Rings) {
+      Ring.resize(RingCells);
+      if (Options.PoisonHalos)
+        std::fill(Ring.begin(), Ring.end(), poisonValue());
     }
-
-    // Final-tier store window: interior ∩ compute region, per dimension.
-    auto StoreRange = [](const LoopDim &LD) {
-      long long Lo = clampTo(std::max(0LL, LD.Origin) - LD.SpanLo, 0LL,
-                             LD.BS);
-      long long Hi = clampTo(std::min(LD.Extent, LD.Origin + LD.Width) -
-                                 LD.SpanLo,
-                             0LL, LD.BS);
-      return std::pair<long long, long long>(Lo, std::max(Lo, Hi));
-    };
-    auto [StoreLoOut, StoreHiOut] = StoreRange(Outer);
-    auto [StoreLoIn, StoreHiIn] = StoreRange(Inner);
-
-    // Flat-index base of span position (0, 0) in the grid's padded
-    // layout, per plane: PlaneBase(P) = (P + Halo) * stride(0) + SpanBase.
-    long long SpanBase = (Outer.SpanLo + Halo) * Outer.GridStrideD +
-                         (Inner.SpanLo + Halo) * Inner.GridStrideD;
-    long long StreamStride = In.stride(0);
-
-    for (auto &Ring : Rings)
-      Ring.assign(static_cast<std::size_t>(RingDepth) *
-                      static_cast<std::size_t>(LaneCount),
-                  T(0));
     auto RingSlot = [&](long long Plane) {
       long long M = Plane % RingDepth;
-      return static_cast<std::size_t>(M < 0 ? M + RingDepth : M);
+      return (M < 0 ? M + RingDepth : M) * LaneCount;
     };
     const std::vector<std::vector<int>> &Taps = Tape.taps();
     auto LinearizeTaps = [&](long long Plane) {
       for (std::size_t K = 0; K < Taps.size(); ++K)
-        TapOffsets[K] =
-            static_cast<long long>(RingSlot(Plane + Taps[K][0])) * LaneCount +
-            TapLane[K];
+        TapOffsets[K] = RingSlot(Plane + Taps[K][0]) + TapLane[K];
     };
-
-    long long Tier0Lo = std::max(ChunkLo - Inv.LoadStreamReach,
-                                 -static_cast<long long>(Inv.GridHalo));
-    long long Tier0Hi = std::min(ChunkHi - 1 + Inv.LoadStreamReach,
-                                 StreamExtent - 1 + Inv.GridHalo);
 
     // Streaming schedule: at step s, tier T processes plane
     // s - StreamLag_T (the IR's per-tier lags). The window opens early
     // enough for the tier-0 preload and closes once the final tier has
     // drained its lag.
-    long long SBegin = ChunkLo - Inv.LoadStreamReach;
-    long long SEnd = ChunkHi - 1 + Inv.Tiers.back().StreamLag;
+    const long long SBegin = ChunkLo - Inv.LoadStreamReach;
+    const long long SEnd = ChunkHi - 1 + Inv.Tiers.back().StreamLag;
     for (long long S = SBegin; S <= SEnd; ++S) {
-      // Tier 0: load plane S from global memory into the tier-0 ring.
-      if (S >= Tier0Lo && S <= Tier0Hi && Degree >= 1) {
-        T *DstRow = Rings[0].data() + RingSlot(S) * LaneCount;
-        long long PlaneBase = (S + Halo) * StreamStride + SpanBase;
-        for (const LaneSeg &O : OuterSegs[0])
-          for (long long P1 = O.Lo; P1 < O.Hi; ++P1) {
-            T *Row = DstRow + P1 * Outer.LaneStrideD;
-            long long RowBase = PlaneBase + P1 * Outer.GridStrideD;
-            for (const LaneSeg &I : InnerSegs[0]) {
-              if (O.Exists && I.Exists) {
-                for (long long P2 = I.Lo; P2 < I.Hi; ++P2)
-                  Row[P2] = GridIn[RowBase + P2];
-                if (Options.Stats)
-                  Options.Stats->GmReadOps += I.Hi - I.Lo;
-              } else {
-                std::fill(Row + I.Lo, Row + I.Hi, Fill);
-              }
-            }
-          }
+      // Tier 0: load the existing cells of plane S into the tier-0 ring.
+      if (S >= LaneWin[0].PLo && S <= LaneWin[0].PHi) {
+        T *Dst = Rings[0].data() + RingSlot(S);
+        const T *Src = PlaneOf(GridIn, S);
+        for (long long J = 0; J < Rows.E1; ++J)
+          std::copy(Src + J * GridRow, Src + J * GridRow + Lanes.E1,
+                    Dst + J * RingRow);
+        if (Options.Stats)
+          Options.Stats->GmReadOps += Rows.E1 * Lanes.E1;
       }
 
-      // Tiers 1..Degree, each with the lag and reach the IR assigns.
+      // Tiers 1..Degree; the final tier stores straight to the output.
       for (const TierSchedule &TS : Inv.Tiers) {
-        const int Tier = TS.Tier;
-        long long Plane = S - TS.StreamLag;
-        long long Reach = TS.Reach;
-        long long NeedLo = std::max(ChunkLo - Reach, -Inv.GridHalo);
-        long long NeedHi =
-            std::min(ChunkHi - 1 + Reach, StreamExtent - 1 + Inv.GridHalo);
-        if (Plane < NeedLo || Plane > NeedHi)
+        const auto Tier = static_cast<std::size_t>(TS.Tier);
+        const TierWindow &RW = RowWin[Tier], &LW = LaneWin[Tier];
+        const long long Plane = S - TS.StreamLag;
+        if (Plane < LW.PLo || Plane > LW.PHi)
+          continue;
+        const bool Final = TS.Tier == Degree;
+        const T *Prev = Rings[Tier - 1].data();
+        const T *Pin = PlaneOf(GridIn, Plane);
+        T *Dst = Final ? PlaneOf(GridOut, Plane)
+                       : Rings[Tier].data() + RingSlot(Plane);
+        const long long DstRow = Final ? GridRow : RingRow;
+        // Boundary sub-planes stay pinned to the input (never the final
+        // tier, whose window is the chunk's own planes).
+        const bool Boundary = Plane < 0 || Plane >= StreamExtent;
+        if (!Boundary) {
+          LinearizeTaps(Plane);
+          for (long long J = RW.V0; J < RW.V1; ++J)
+            for (long long L = LW.V0; L < LW.V1; ++L)
+              Dst[J * DstRow + L] =
+                  Tape.eval(Prev + J * RingRow + L, TapOffsets.data());
+          if (Options.Stats) {
+            const long long Cells = (RW.V1 - RW.V0) * (LW.V1 - LW.V0);
+            Options.Stats->ComputeOps += Cells;
+            if (Final)
+              Options.Stats->GmWriteOps += Cells;
+          }
+        }
+        if (Final)
           continue;
 
-        std::vector<T> &PrevRing =
-            Rings[static_cast<std::size_t>(Tier) - 1];
-        const T *PrevData = PrevRing.data();
-        bool IsInteriorPlane = Plane >= 0 && Plane < StreamExtent;
-        LinearizeTaps(Plane);
-        long long PlaneBase = (Plane + Halo) * StreamStride + SpanBase;
-
-        if (Tier < Degree) {
-          std::vector<T> &DstRing = Rings[static_cast<std::size_t>(Tier)];
-          T *DstRow = DstRing.data() + RingSlot(Plane) * LaneCount;
-          const T *CarryRow = PrevData + RingSlot(Plane) * LaneCount;
-          for (const LaneSeg &O : OuterSegs[static_cast<std::size_t>(Tier)])
-            for (long long P1 = O.Lo; P1 < O.Hi; ++P1) {
-              long long RowOff = P1 * Outer.LaneStrideD;
-              long long RowBase = PlaneBase + P1 * Outer.GridStrideD;
-              for (const LaneSeg &I :
-                   InnerSegs[static_cast<std::size_t>(Tier)]) {
-                long long Len = I.Hi - I.Lo;
-                if (!IsInteriorPlane || !(O.Interior && I.Interior)) {
-                  // Boundary sub-planes / boundary lanes stay pinned to
-                  // the input's boundary conditions; lanes past the
-                  // padded grid are out-of-bound threads. (These refreshes
-                  // are not GmReadOps: the census charges boundary values
-                  // to the tier-0 load, matching the spare-register trick
-                  // of Section 4.1.)
-                  if (O.Exists && I.Exists) {
-                    for (long long P2 = I.Lo; P2 < I.Hi; ++P2)
-                      DstRow[RowOff + P2] = GridIn[RowBase + P2];
-                  } else {
-                    std::fill(DstRow + RowOff + I.Lo, DstRow + RowOff + I.Hi,
-                              Fill);
-                  }
-                } else if (O.Valid && I.Valid) {
-                  for (long long P2 = I.Lo; P2 < I.Hi; ++P2)
-                    DstRow[RowOff + P2] =
-                        Tape.eval(PrevData + RowOff + P2, TapOffsets.data());
-                  if (Options.Stats)
-                    Options.Stats->ComputeOps += Len;
-                } else if (Options.PoisonHalos) {
-                  std::fill(DstRow + RowOff + I.Lo, DstRow + RowOff + I.Hi,
-                            poisonValue());
-                } else {
-                  // Halo overwrite (Section 4.1): carry the previous
-                  // tier's value forward.
-                  for (long long P2 = I.Lo; P2 < I.Hi; ++P2)
-                    DstRow[RowOff + P2] = CarryRow[RowOff + P2];
-                }
-              }
-            }
-        } else {
-          // Final tier: store the compute region of the chunk's own
-          // interior planes straight to global memory.
-          if (!IsInteriorPlane || Plane < ChunkLo || Plane >= ChunkHi)
-            continue;
-          for (long long P1 = StoreLoOut; P1 < StoreHiOut; ++P1) {
-            long long RowOff = P1 * Outer.LaneStrideD;
-            long long RowBase = PlaneBase + P1 * Outer.GridStrideD;
-            for (long long P2 = StoreLoIn; P2 < StoreHiIn; ++P2)
-              GridOut[RowBase + P2] =
-                  Tape.eval(PrevData + RowOff + P2, TapOffsets.data());
-            if (Options.Stats) {
-              Options.Stats->ComputeOps += StoreHiIn - StoreLoIn;
-              Options.Stats->GmWriteOps += StoreHiIn - StoreLoIn;
-            }
+        // Boundary lanes (and every lane of a boundary sub-plane or a
+        // boundary row) stay pinned to the input; the other interior
+        // lanes outside the valid range carry the producer's value (the
+        // halo overwrite of Section 4.1), or a canary under poisoning.
+        // These refreshes are not GmReadOps: the census charges boundary
+        // values to the tier-0 load (the spare-register trick of 4.1).
+        const T *Carry = Prev + RingSlot(Plane);
+        for (long long J = 0; J < Rows.E1; ++J) {
+          T *Row = Dst + J * RingRow;
+          const T *PinRow = Pin + J * GridRow;
+          const T *CarryRow = Carry + J * RingRow;
+          const bool Pinned = Boundary || J < Rows.I0 || J >= Rows.I1;
+          auto Keep = [&](long long Lo, long long Hi) {
+            if (Pinned)
+              std::copy(PinRow + Lo, PinRow + Hi, Row + Lo);
+            else if (Options.PoisonHalos)
+              std::fill(Row + Lo, Row + Hi, poisonValue());
+            else
+              std::copy(CarryRow + Lo, CarryRow + Hi, Row + Lo);
+          };
+          std::copy(PinRow, PinRow + Lanes.I0, Row);
+          if (!Boundary && J >= RW.V0 && J < RW.V1) {
+            Keep(Lanes.I0, LW.V0);
+            Keep(LW.V1, Lanes.I1);
+          } else {
+            Keep(Lanes.I0, Lanes.I1);
           }
-        }
-      }
-    }
-  }
-
-  /// Per-lane streaming of one thread-block through the recursive
-  /// evalExpr oracle (EvalStrategy::TreeWalk).
-  void runBlockTree(const Grid<T> &In, Grid<T> &Out,
-                    const InvocationSchedule &Inv, long long ChunkLo,
-                    long long ChunkHi,
-                    const std::vector<long long> &Origins) {
-    const int Degree = Inv.Degree;
-    const std::vector<long long> &ComputeWidth = Inv.ComputeWidth;
-    const std::vector<long long> &Extents = In.extents();
-    long long StreamExtent = Extents[0];
-    int NumBlockedDims = static_cast<int>(Inv.BS.size());
-
-    // Lane bookkeeping: lane l decomposes into per-dimension positions
-    // within the block span [Origin - LoadSpanHalo, ... + bS).
-    long long LaneCount = 1;
-    for (long long B : Inv.BS)
-      LaneCount *= B;
-    std::vector<long long> SpanLo(static_cast<std::size_t>(NumBlockedDims));
-    for (int D = 0; D < NumBlockedDims; ++D)
-      SpanLo[static_cast<std::size_t>(D)] =
-          Origins[static_cast<std::size_t>(D)] - Inv.LoadSpanHalo;
-
-    // Register-window rings for tiers 0..Degree-1, zeroed per block (the
-    // vectors keep their capacity across blocks and invocations).
-    for (auto &Ring : Rings)
-      Ring.assign(static_cast<std::size_t>(RingDepth) *
-                      static_cast<std::size_t>(LaneCount),
-                  T(0));
-    auto RingSlot = [&](long long Plane) {
-      long long M = Plane % RingDepth;
-      return static_cast<std::size_t>(M < 0 ? M + RingDepth : M);
-    };
-    auto RingCell = [&](std::vector<T> &Ring, long long Plane,
-                        long long Lane) -> T & {
-      return Ring[RingSlot(Plane) * static_cast<std::size_t>(LaneCount) +
-                  static_cast<std::size_t>(Lane)];
-    };
-
-    std::vector<long long> Coords(static_cast<std::size_t>(NumBlockedDims));
-    auto DecodeLane = [&](long long Lane) {
-      for (int D = 0; D < NumBlockedDims; ++D)
-        Coords[static_cast<std::size_t>(D)] =
-            SpanLo[static_cast<std::size_t>(D)] +
-            (Lane / LaneStride[static_cast<std::size_t>(D)]) %
-                Inv.BS[static_cast<std::size_t>(D)];
-    };
-
-    auto CellExists = [&](const std::vector<long long> &C) {
-      for (int D = 0; D < NumBlockedDims; ++D)
-        if (C[static_cast<std::size_t>(D)] < -Radius ||
-            C[static_cast<std::size_t>(D)] >=
-                Extents[static_cast<std::size_t>(D) + 1] + Radius)
-          return false;
-      return true;
-    };
-    auto IsInteriorLane = [&](const std::vector<long long> &C) {
-      for (int D = 0; D < NumBlockedDims; ++D)
-        if (C[static_cast<std::size_t>(D)] < 0 ||
-            C[static_cast<std::size_t>(D)] >=
-                Extents[static_cast<std::size_t>(D) + 1])
-          return false;
-      return true;
-    };
-    auto InTierValidRegion = [&](const std::vector<long long> &C, int Tier) {
-      long long Reach = Inv.Tiers[static_cast<std::size_t>(Tier) - 1].Reach;
-      for (int D = 0; D < NumBlockedDims; ++D) {
-        long long Lo = Origins[static_cast<std::size_t>(D)] - Reach;
-        long long Hi = Origins[static_cast<std::size_t>(D)] +
-                       ComputeWidth[static_cast<std::size_t>(D)] + Reach;
-        long long X = C[static_cast<std::size_t>(D)];
-        if (X < Lo || X >= Hi)
-          return false;
-      }
-      return true;
-    };
-
-    std::vector<long long> GridCoords(
-        static_cast<std::size_t>(NumBlockedDims) + 1);
-    auto ReadInput = [&](long long Plane,
-                         const std::vector<long long> &C) -> T {
-      GridCoords[0] = Plane;
-      for (int D = 0; D < NumBlockedDims; ++D)
-        GridCoords[static_cast<std::size_t>(D) + 1] =
-            C[static_cast<std::size_t>(D)];
-      return In.at(GridCoords);
-    };
-
-    // The oracle per-cell evaluation (EvalStrategy::TreeWalk): reads come
-    // from the previous tier's ring, shifted by the tap offsets. The tape
-    // path reads the very same ring elements through TapOffsets.
-    auto EvalCellTree = [&](std::vector<T> &PrevRing, long long Plane,
-                            const std::vector<long long> &C) -> T {
-      auto Read = [&](const GridReadExpr &R) -> T {
-        long long NeighborPlane = Plane + R.offsets()[0];
-        long long Lane = 0;
-        for (int D = 0; D < NumBlockedDims; ++D) {
-          long long X = C[static_cast<std::size_t>(D)] +
-                        R.offsets()[static_cast<std::size_t>(D) + 1];
-          Lane += (X - SpanLo[static_cast<std::size_t>(D)]) *
-                  LaneStride[static_cast<std::size_t>(D)];
-        }
-        return RingCell(PrevRing, NeighborPlane, Lane);
-      };
-      auto Coef = [&](const std::string &Name) -> T {
-        return static_cast<T>(Program.coefficientValue(Name));
-      };
-      return evalExpr<T>(Program.update(), Read, Coef);
-    };
-
-    // Streaming schedule: at step s, tier T processes plane
-    // s - StreamLag_T (the IR's per-tier lags).
-    long long SBegin = ChunkLo - Inv.LoadStreamReach;
-    long long SEnd = ChunkHi - 1 + Inv.Tiers.back().StreamLag;
-    for (long long S = SBegin; S <= SEnd; ++S) {
-      // Tier 0: load plane S from global memory into the tier-0 ring.
-      {
-        long long NeedLo =
-            std::max(ChunkLo - Inv.LoadStreamReach, -Inv.GridHalo);
-        long long NeedHi = std::min(ChunkHi - 1 + Inv.LoadStreamReach,
-                                    StreamExtent - 1 + Inv.GridHalo);
-        if (S >= NeedLo && S <= NeedHi && Degree >= 1) {
-          for (long long Lane = 0; Lane < LaneCount; ++Lane) {
-            DecodeLane(Lane);
-            T Value;
-            if (CellExists(Coords)) {
-              Value = ReadInput(S, Coords);
-              if (Options.Stats)
-                ++Options.Stats->GmReadOps;
-            } else {
-              Value = Options.PoisonHalos ? poisonValue() : T(0);
-            }
-            RingCell(Rings[0], S, Lane) = Value;
-          }
-        }
-      }
-
-      // Tiers 1..Degree, each with the lag and reach the IR assigns.
-      for (const TierSchedule &TS : Inv.Tiers) {
-        const int Tier = TS.Tier;
-        long long Plane = S - TS.StreamLag;
-        long long Reach = TS.Reach;
-        long long NeedLo = std::max(ChunkLo - Reach, -Inv.GridHalo);
-        long long NeedHi =
-            std::min(ChunkHi - 1 + Reach, StreamExtent - 1 + Inv.GridHalo);
-        if (Plane < NeedLo || Plane > NeedHi)
-          continue;
-
-        std::vector<T> &PrevRing =
-            Rings[static_cast<std::size_t>(Tier) - 1];
-        bool IsInteriorPlane = Plane >= 0 && Plane < StreamExtent;
-
-        if (Tier < Degree) {
-          std::vector<T> &DstRing = Rings[static_cast<std::size_t>(Tier)];
-          for (long long Lane = 0; Lane < LaneCount; ++Lane) {
-            DecodeLane(Lane);
-            T Value;
-            if (!IsInteriorPlane || !IsInteriorLane(Coords)) {
-              // Boundary sub-planes / boundary lanes stay pinned to the
-              // input's boundary conditions; lanes past the padded grid
-              // are out-of-bound threads.
-              Value = CellExists(Coords)
-                          ? ReadInput(Plane, Coords)
-                          : (Options.PoisonHalos ? poisonValue() : T(0));
-            } else if (InTierValidRegion(Coords, Tier)) {
-              Value = EvalCellTree(PrevRing, Plane, Coords);
-              if (Options.Stats)
-                ++Options.Stats->ComputeOps;
-            } else {
-              // Halo overwrite (Section 4.1): carry the previous tier's
-              // value forward, or a canary under poisoning.
-              Value = Options.PoisonHalos
-                          ? poisonValue()
-                          : RingCell(PrevRing, Plane, Lane);
-            }
-            RingCell(DstRing, Plane, Lane) = Value;
-          }
-        } else {
-          // Final tier: store the compute region of the chunk's own
-          // interior planes straight to global memory.
-          if (!IsInteriorPlane || Plane < ChunkLo || Plane >= ChunkHi)
-            continue;
-          for (long long Lane = 0; Lane < LaneCount; ++Lane) {
-            DecodeLane(Lane);
-            if (!IsInteriorLane(Coords))
-              continue;
-            bool InComputeRegion = true;
-            for (int D = 0; D < NumBlockedDims; ++D) {
-              long long X = Coords[static_cast<std::size_t>(D)];
-              if (X < Origins[static_cast<std::size_t>(D)] ||
-                  X >= Origins[static_cast<std::size_t>(D)] +
-                           ComputeWidth[static_cast<std::size_t>(D)]) {
-                InComputeRegion = false;
-                break;
-              }
-            }
-            if (!InComputeRegion)
-              continue;
-            T Value = EvalCellTree(PrevRing, Plane, Coords);
-            if (Options.Stats) {
-              ++Options.Stats->ComputeOps;
-              ++Options.Stats->GmWriteOps;
-            }
-            GridCoords[0] = Plane;
-            for (int D = 0; D < NumBlockedDims; ++D)
-              GridCoords[static_cast<std::size_t>(D) + 1] =
-                  Coords[static_cast<std::size_t>(D)];
-            Out.at(GridCoords) = Value;
-          }
+          std::copy(PinRow + Lanes.I1, PinRow + Lanes.E1, Row + Lanes.I1);
         }
       }
     }

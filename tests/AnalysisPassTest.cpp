@@ -923,7 +923,7 @@ TEST(ResourceEstimation, A301FiresOnRegisterOverflow) {
   Config.BT = 16;
   Config.BS = {512};
   Config.HS = 0;
-  ASSERT_TRUE(Config.isFeasible(P->radius()));
+  ASSERT_TRUE(Config.isFeasible(P->radius(), /*CUDA threads per block=*/1024));
   ASSERT_GT(an5dRegistersPerThread(*P, Config.BT), 255);
   ScheduleIR IR = lowerSchedule(*P, Config);
   AnalysisInput Input;

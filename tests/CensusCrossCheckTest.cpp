@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <tuple>
 
 using namespace an5d;
@@ -57,7 +58,7 @@ TEST_P(CensusCrossCheck2d, EmulatorMatchesAnalyticCounts) {
   Config.BT = BT;
   Config.BS = {BS};
   Config.HS = HS;
-  if (!Config.isFeasible(Program->radius()))
+  if (!Config.isFeasible(Program->radius(), INT_MAX))
     GTEST_SKIP() << "infeasible pairing in the sweep grid";
   ProblemSize Problem;
   Problem.Extents = {37, 29};
@@ -89,7 +90,7 @@ TEST_P(CensusCrossCheck3d, EmulatorMatchesAnalyticCounts) {
   Config.BT = BT;
   Config.BS = {2 * BT + 8, 2 * BT + 6};
   Config.HS = HS;
-  ASSERT_TRUE(Config.isFeasible(Program->radius()));
+  ASSERT_TRUE(Config.isFeasible(Program->radius(), INT_MAX));
   ProblemSize Problem;
   Problem.Extents = {13, 12, 11};
   Problem.TimeSteps = BT;

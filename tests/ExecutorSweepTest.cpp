@@ -16,8 +16,11 @@
 #include "sim/ReferenceExecutor.h"
 #include "stencils/Benchmarks.h"
 
+#include "ExtentSweepCases.h"
+
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <tuple>
 
 using namespace an5d;
@@ -63,7 +66,7 @@ TEST_P(BlockedSweep2d, MatchesReference) {
   Config.BT = BT;
   Config.BS = {BS};
   Config.HS = HS;
-  if (!Config.isFeasible(Program->radius()))
+  if (!Config.isFeasible(Program->radius(), INT_MAX))
     GTEST_SKIP() << "infeasible pairing in the sweep grid";
   // 41 x 35: prime-ish extents so nothing divides evenly.
   EXPECT_TRUE(blockedMatchesReference<float>(*Program, Config, {41, 35},
@@ -96,7 +99,7 @@ TEST_P(PoisonSweep2d, PoisonNeverReachesValidCells) {
   Config.BT = BT;
   Config.BS = {Program->radius() * 2 * BT + 8};
   Config.HS = 9;
-  ASSERT_TRUE(Config.isFeasible(Program->radius()));
+  ASSERT_TRUE(Config.isFeasible(Program->radius(), INT_MAX));
   EXPECT_TRUE(blockedMatchesReference<float>(*Program, Config, {23, 19},
                                              /*TimeSteps=*/7,
                                              /*Poison=*/true))
@@ -126,7 +129,7 @@ TEST_P(BlockedSweep3d, MatchesReference) {
   int Span = Program->radius() * 2 * BT + 6;
   Config.BS = {Span, Span + 2};
   Config.HS = HS;
-  ASSERT_TRUE(Config.isFeasible(Program->radius()));
+  ASSERT_TRUE(Config.isFeasible(Program->radius(), INT_MAX));
   EXPECT_TRUE(blockedMatchesReference<float>(*Program, Config, {13, 12, 11},
                                              /*TimeSteps=*/5,
                                              /*Poison=*/false))
@@ -155,7 +158,7 @@ TEST_P(DoubleSweep, MatchesReference) {
                   : std::vector<int>{Program->radius() * 6 + 8,
                                      Program->radius() * 6 + 8};
   Config.HS = 8;
-  ASSERT_TRUE(Config.isFeasible(Program->radius()));
+  ASSERT_TRUE(Config.isFeasible(Program->radius(), INT_MAX));
   std::vector<long long> Extents =
       Program->numDims() == 2 ? std::vector<long long>{21, 18}
                               : std::vector<long long>{11, 10, 9};
@@ -191,3 +194,35 @@ TEST_P(ParitySweep, AllTimeStepCounts) {
 
 INSTANTIATE_TEST_SUITE_P(Degrees, ParitySweep,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+//===----------------------------------------------------------------------===//
+// Awkward extents with poisoned rings and halos
+//===----------------------------------------------------------------------===//
+
+// The native kernel's awkward-extent cases (ExtentSweepCases.h), run
+// through the emulator with PoisonHalos on: a ring cell no tier wrote or
+// a carried halo value that fed a valid cell would leave NaN behind.
+class EmulatorExtentSweep : public ::testing::TestWithParam<int> {};
+
+template <typename T> void sweepEmulatorExtents(int NumDims) {
+  const ExtentSweepCase Case = extentSweepCase(NumDims);
+  auto Program = makeBenchmarkStencil(Case.Name, Case.Type);
+  ASSERT_NE(Program, nullptr);
+  for (std::size_t I = 0; I < Case.AxisExtents.size(); ++I)
+    for (long long Steps : ExtentSweepSteps) {
+      std::vector<long long> Extents = Case.extents(I, NumDims);
+      EXPECT_TRUE(blockedMatchesReference<T>(*Program, Case.Config, Extents,
+                                             Steps, /*Poison=*/true))
+          << Case.Name << " extent run " << I << " x " << Steps << " steps";
+    }
+}
+
+TEST_P(EmulatorExtentSweep, PoisonedMatchesReferenceAtAwkwardExtents) {
+  if (extentSweepCase(GetParam()).Type == ScalarType::Double)
+    sweepEmulatorExtents<double>(GetParam());
+  else
+    sweepEmulatorExtents<float>(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, EmulatorExtentSweep,
+                         ::testing::Values(1, 2, 3));

@@ -237,30 +237,25 @@ void checkReferenceEquivalence(const StencilProgram &Program,
   EXPECT_EQ(countBitMismatches(Tree1, Tape1), 0u) << Program.name();
 }
 
+/// The blocked emulator (compiled tape) against the tree-walk reference:
+/// the two share no evaluation engine and no schedule.
 template <typename T>
 void checkBlockedEquivalence(const StencilProgram &Program,
-                             long long TimeSteps) {
+                             const BlockConfig &Config, long long TimeSteps) {
   std::vector<long long> Extents = testExtents(Program.numDims());
-  BlockConfig Config = testConfig(Program);
   int Halo = Program.radius();
-  Grid<T> Tree0(Extents, Halo), Tree1(Extents, Halo);
-  fillGridDeterministic(Tree0, 7);
-  copyGrid(Tree0, Tree1);
-  Grid<T> Tape0 = Tree0, Tape1 = Tree0;
-  Grid<T> Ref0 = Tree0, Ref1 = Tree0;
+  Grid<T> Ref0(Extents, Halo), Ref1(Extents, Halo);
+  fillGridDeterministic(Ref0, 7);
+  copyGrid(Ref0, Ref1);
+  Grid<T> Tape0 = Ref0, Tape1 = Ref0;
 
-  BlockedExecOptions TreeOptions;
-  TreeOptions.Strategy = EvalStrategy::TreeWalk;
-  blockedRun<T>(Program, Config, {&Tree0, &Tree1}, TimeSteps, TreeOptions);
+  referenceRun<T>(Program, {&Ref0, &Ref1}, TimeSteps, EvalStrategy::TreeWalk);
   blockedRun<T>(Program, Config, {&Tape0, &Tape1}, TimeSteps);
-  referenceRun<T>(Program, {&Ref0, &Ref1}, TimeSteps);
 
-  EXPECT_EQ(countBitMismatches(Tree0, Tape0), 0u) << Program.name();
-  EXPECT_EQ(countBitMismatches(Tree1, Tape1), 0u) << Program.name();
   const Grid<T> &Want = TimeSteps % 2 == 0 ? Ref0 : Ref1;
   const Grid<T> &Got = TimeSteps % 2 == 0 ? Tape0 : Tape1;
   EXPECT_EQ(countBitMismatches(Want, Got), 0u)
-      << Program.name() << " vs reference";
+      << Program.name() << " " << Config.toString();
 }
 
 template <typename T>
@@ -319,9 +314,9 @@ TEST(ExprPlanSuite, BlockedTapeMatchesTreeWalkEverywhere) {
       auto P = makeBenchmarkStencil(Name, Type);
       ASSERT_TRUE(P) << Name;
       if (Type == ScalarType::Float)
-        checkBlockedEquivalence<float>(*P, 3);
+        checkBlockedEquivalence<float>(*P, testConfig(*P), 3);
       else
-        checkBlockedEquivalence<double>(*P, 3);
+        checkBlockedEquivalence<double>(*P, testConfig(*P), 3);
     }
 }
 
@@ -341,44 +336,5 @@ TEST(ExprPlanSuite, ChunkedStreamingStaysEquivalent) {
   // Section 4.2.3 chunking (HS > 0) exercises a different ring schedule;
   // the tape must stay bit-identical there too.
   auto P = makeJacobi2d5pt(ScalarType::Float);
-  std::vector<long long> Extents = testExtents(2);
-  BlockConfig Config = testConfig(*P, /*HS=*/8);
-  Grid<float> Tree0(Extents, 1), Tree1(Extents, 1);
-  fillGridDeterministic(Tree0, 5);
-  copyGrid(Tree0, Tree1);
-  Grid<float> Tape0 = Tree0, Tape1 = Tree0;
-
-  BlockedExecOptions TreeOptions;
-  TreeOptions.Strategy = EvalStrategy::TreeWalk;
-  blockedRun<float>(*P, Config, {&Tree0, &Tree1}, 5, TreeOptions);
-  blockedRun<float>(*P, Config, {&Tape0, &Tape1}, 5);
-
-  EXPECT_EQ(countBitMismatches(Tree0, Tape0), 0u);
-  EXPECT_EQ(countBitMismatches(Tree1, Tape1), 0u);
-}
-
-TEST(ExprPlanSuite, StatsIdenticalAcrossStrategies) {
-  // The operation census is schedule-determined, not engine-determined.
-  auto P = makeStarStencil(2, 2, ScalarType::Float);
-  std::vector<long long> Extents = testExtents(2);
-  BlockConfig Config = testConfig(*P);
-
-  auto RunWith = [&](EvalStrategy Strategy) {
-    Grid<float> A(Extents, P->radius()), B(Extents, P->radius());
-    fillGridDeterministic(A, 3);
-    copyGrid(A, B);
-    BlockedExecStats Stats;
-    BlockedExecOptions Options;
-    Options.Strategy = Strategy;
-    Options.Stats = &Stats;
-    blockedRun<float>(*P, Config, {&A, &B}, 4, Options);
-    return Stats;
-  };
-
-  BlockedExecStats Tape = RunWith(EvalStrategy::CompiledTape);
-  BlockedExecStats Tree = RunWith(EvalStrategy::TreeWalk);
-  EXPECT_EQ(Tape.GmReadOps, Tree.GmReadOps);
-  EXPECT_EQ(Tape.GmWriteOps, Tree.GmWriteOps);
-  EXPECT_EQ(Tape.ComputeOps, Tree.ComputeOps);
-  EXPECT_GT(Tape.ComputeOps, 0);
+  checkBlockedEquivalence<float>(*P, testConfig(*P, /*HS=*/8), 5);
 }

@@ -38,8 +38,8 @@ TEST(BlockConfigTest, ThreadsAndComputeWidth) {
   C.BS = {256};
   EXPECT_EQ(C.numThreads(), 256);
   EXPECT_EQ(C.computeWidth(0, 1), 256 - 20);
-  EXPECT_TRUE(C.isFeasible(1));
-  EXPECT_FALSE(C.isFeasible(13)) << "2*10*13 = 260 > 256";
+  EXPECT_TRUE(C.isFeasible(1, 1024));
+  EXPECT_FALSE(C.isFeasible(13, 1024)) << "2*10*13 = 260 > 256";
 
   BlockConfig C3;
   C3.BT = 4;

@@ -30,10 +30,13 @@
 #include "runtime/NativeCompiler.h"
 #include "runtime/NativeExecutor.h"
 #include "runtime/NativeMeasurement.h"
+#include "sim/BlockedExecutor.h"
 #include "sim/Grid.h"
 #include "sim/ReferenceExecutor.h"
 #include "stencils/Benchmarks.h"
 #include "tuning/Tuner.h"
+
+#include "ExtentSweepCases.h"
 
 #include <gtest/gtest.h>
 
@@ -117,23 +120,34 @@ void expectNativeMatchesReference(const StencilProgram &Program,
 }
 
 /// Runs \p Steps of \p Executor at \p Extents through runRaw and expects
-/// the result bitwise equal to the tree-walk reference; returns false
-/// (with a failure recorded) on any mismatch.
+/// the result bitwise equal to the reference; returns false (with a
+/// failure recorded) on any mismatch. Given \p Emulated, the poisoned
+/// blocked emulator runs that configuration too and must match the kernel
+/// bitwise: the emulator sorts its lanes through ScheduleIR's blockSpan /
+/// tierWindow, the kernel through the clamps the emitter spells for them.
 template <typename T>
 bool runMatchesReference(const NativeExecutor &Executor,
                          const StencilProgram &Program,
                          const std::vector<long long> &Extents,
-                         long long Steps) {
+                         long long Steps,
+                         const BlockConfig *Emulated = nullptr) {
   Grid<T> Ref0(Extents, Program.radius()), Ref1(Extents, Program.radius());
   fillGridDeterministic(Ref0, 7 + static_cast<int>(Steps));
   copyGrid(Ref0, Ref1);
   Grid<T> Nat0 = Ref0, Nat1 = Ref0;
+  Grid<T> Emu0 = Ref0, Emu1 = Ref0;
   referenceRun<T>(Program, {&Ref0, &Ref1}, Steps);
   int Rc = Executor.runRaw(Nat0.data(), Nat1.data(), Extents.data(),
                            static_cast<int>(Extents.size()), Steps);
   const Grid<T> &Want = Steps % 2 == 0 ? Ref0 : Ref1;
   const Grid<T> &Got = Steps % 2 == 0 ? Nat0 : Nat1;
   bool Same = Rc == 0 && Want.raw() == Got.raw();
+  if (Emulated) {
+    BlockedExecOptions Poison;
+    Poison.PoisonHalos = true;
+    blockedRun<T>(Program, *Emulated, {&Emu0, &Emu1}, Steps, Poison);
+    Same = Same && (Steps % 2 == 0 ? Emu0 : Emu1).raw() == Got.raw();
+  }
   std::string Shape;
   for (long long E : Extents)
     Shape += (Shape.empty() ? "" : "x") + std::to_string(E);
@@ -270,65 +284,57 @@ TEST(NativeRuntime, OneDimensionalDoublePrecisionMatches) {
 
 namespace {
 
-/// Step counts around the temporal tile bT = 3: none, one, fewer than
-/// bT, odd and above bT, and a remainder block after two full ones.
-const long long SweepSteps[] = {0, 1, 2, 5, 7};
-
-/// Runs every extent in \p AxisExtents on every axis (the other axes
-/// cycle through the same list, so all values meet every axis) for every
-/// step count, through one compiled kernel: extents are run-time
-/// arguments, so a single shared object serves them all.
-template <typename T>
-void sweepExtents(const char *Name, ScalarType Type, BlockConfig Config,
-                  const std::vector<long long> &AxisExtents) {
-  auto Program = makeBenchmarkStencil(Name, Type);
+/// Runs the awkward-extent case of a \p NumDims stencil at every extent
+/// and step count through one compiled kernel (extents are run-time
+/// arguments, so a single shared object serves them all), against the
+/// reference and the poisoned emulator.
+template <typename T> void sweepExtents(int NumDims) {
+  const ExtentSweepCase Case = extentSweepCase(NumDims);
+  auto Program = makeBenchmarkStencil(Case.Name, Case.Type);
   ASSERT_NE(Program, nullptr);
-  NativeExecutor Executor(*Program, Config,
+  NativeExecutor Executor(*Program, Case.Config,
                           fastBuildOptions(sharedCacheDir()));
   ASSERT_TRUE(Executor.ok()) << Executor.error();
-  const std::size_t Count = AxisExtents.size();
-  for (std::size_t I = 0; I < Count; ++I) {
-    std::vector<long long> Extents;
-    for (int D = 0; D < Program->numDims(); ++D)
-      Extents.push_back(AxisExtents[(I + static_cast<std::size_t>(D) * 3) %
-                                    Count]);
-    for (long long Steps : SweepSteps)
-      if (!runMatchesReference<T>(Executor, *Program, Extents, Steps))
+  for (std::size_t I = 0; I < Case.AxisExtents.size(); ++I)
+    for (long long Steps : ExtentSweepSteps)
+      if (!runMatchesReference<T>(Executor, *Program,
+                                  Case.extents(I, NumDims), Steps,
+                                  &Case.Config))
         return;
-  }
 }
 
 } // namespace
 
-// 1D: radius 2, bT=3, hS=7. Extents 1 and 2 (smaller than one radius),
-// primes, hS +- 1, and lengths that leave a partial last chunk.
 TEST(NativeExtentSweep, OneDimensionalKernelMatchesAtAwkwardExtents) {
-  BlockConfig Config;
-  Config.BT = 3;
-  Config.HS = 7;
-  sweepExtents<float>("star1d2r", ScalarType::Float, Config,
-                      {1, 2, 13, 6, 8, 23, 50});
+  sweepExtents<float>(1);
 }
 
-// 2D: bT=3, bS=16 (compute width 10 at full degree), hS=5. Extents 1, 2,
-// a prime, smaller than bS, bS -+ 1, and not a multiple of hS.
 TEST(NativeExtentSweep, TwoDimensionalKernelMatchesAtAwkwardExtents) {
-  BlockConfig Config;
-  Config.BT = 3;
-  Config.BS = {16};
-  Config.HS = 5;
-  sweepExtents<float>("j2d5pt", ScalarType::Float, Config,
-                      {1, 2, 13, 9, 15, 17, 23});
+  sweepExtents<float>(2);
 }
 
-// 3D (double): bT=3, bS=12x11, hS=4. The same extent classes per axis.
 TEST(NativeExtentSweep, ThreeDimensionalKernelMatchesAtAwkwardExtents) {
+  sweepExtents<double>(3);
+}
+
+// The CPU renderings have no threads-per-block limit: bS=64x32 is 2048
+// lanes, twice CUDA's cap, and still a valid schedule (compute width
+// 60x28). The kernel builds and runs, bitwise equal to the reference and
+// to the emulator, across two blocks on each blocked axis.
+TEST(NativeRuntime, BlockPastTheGpuThreadCapRuns) {
+  auto Program = makeBenchmarkStencil("star3d1r", ScalarType::Float);
+  ASSERT_NE(Program, nullptr);
   BlockConfig Config;
-  Config.BT = 3;
-  Config.BS = {12, 11};
-  Config.HS = 4;
-  sweepExtents<double>("star3d1r", ScalarType::Double, Config,
-                       {1, 2, 7, 5, 11, 13, 10});
+  Config.BT = 2;
+  Config.BS = {64, 32};
+  Config.HS = 0;
+  EXPECT_FALSE(Config.isFeasible(Program->radius(), 1024));
+  NativeExecutor Executor(*Program, Config,
+                          fastBuildOptions(sharedCacheDir()));
+  ASSERT_TRUE(Executor.ok()) << Executor.error();
+  for (long long Steps : {1, 2, 5})
+    runMatchesReference<float>(Executor, *Program, {6, 67, 31}, Steps,
+                               &Config);
 }
 
 //===----------------------------------------------------------------------===//

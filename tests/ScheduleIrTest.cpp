@@ -13,7 +13,10 @@
 ///     lowering is total and that the gate accepts it exactly when
 ///     BlockConfig::isFeasible does is property-tested over every
 ///     enumerated configuration in AnalysisPassTest.cpp.
-///  2. Render equivalence: the backends are pure renderers — feeding the
+///  2. The lane-segment rule (blockSpan / tierWindow) sorts every lane of
+///     a block span exactly as the schedule needs: checked lane by lane
+///     against the grid coordinates at awkward extents.
+///  3. Render equivalence: the backends are pure renderers — feeding the
 ///     lowered IR into CppCodegen/CudaCodegen reproduces the checked-in
 ///     goldens byte for byte.
 ///
@@ -24,6 +27,7 @@
 #include "codegen/CudaCodegen.h"
 #include "schedule/ScheduleIR.h"
 #include "stencils/Benchmarks.h"
+#include "support/Support.h"
 
 #include <gtest/gtest.h>
 
@@ -95,6 +99,114 @@ TEST(ScheduleIrLowering, OneDStreamingLowersWithoutSpatialHalo) {
   EXPECT_EQ(Full.ChunkLength, 64);
   EXPECT_EQ(Full.LoadStreamReach, 3 * 2);
   EXPECT_TRUE(verifyScheduleIR(IR).proven());
+}
+
+//===----------------------------------------------------------------------===//
+// The lane-segment rule
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Checks the spans and tier windows of one blocked axis of one block, in
+/// the chunk [ChunkLo, ChunkHi) of a StreamExtent-long stream, against
+/// the grid coordinate of every lane.
+void checkAxis(const InvocationSchedule &Inv, int Axis, long long Origin,
+               long long Extent, long long ChunkLo, long long ChunkHi,
+               long long StreamExtent, const std::string &Where) {
+  const long long Rad = Inv.Radius, Halo = Inv.GridHalo;
+  const BlockSpan S = blockSpan(Inv, Axis, Origin, Extent);
+  SCOPED_TRACE(Where + " axis " + std::to_string(Axis) + " origin " +
+               std::to_string(Origin) + " extent " + std::to_string(Extent) +
+               " chunk [" + std::to_string(ChunkLo) + ", " +
+               std::to_string(ChunkHi) + ")");
+  // The cut span starts inside the padded grid and ends where the loaded
+  // span ends; the lane classes follow from each lane's coordinate.
+  ASSERT_GE(S.Lo, -Halo);
+  ASSERT_EQ(S.Lo + S.N, Origin - Inv.LoadSpanHalo + Inv.BS[Axis]);
+  for (long long L = 0; L < S.N; ++L) {
+    const long long X = S.Lo + L;
+    EXPECT_EQ(L >= S.I0 && L < S.I1, X >= 0 && X < Extent) << "lane " << L;
+    EXPECT_EQ(L < S.E1, X < Extent + Halo) << "lane " << L;
+  }
+
+  std::vector<TierWindow> W;
+  for (int T = 0; T <= Inv.Degree; ++T)
+    W.push_back(tierWindow(Inv, T, ChunkLo, ChunkHi, StreamExtent, S));
+  for (int T = 1; T <= Inv.Degree; ++T) {
+    const TierWindow &Tw = W[static_cast<std::size_t>(T)];
+    const TierWindow &Pw = W[static_cast<std::size_t>(T) - 1];
+    // 0 <= I0 <= V0 <= V1 <= I1 <= E1 <= N.
+    EXPECT_LE(0, S.I0);
+    EXPECT_LE(S.I0, Tw.V0) << "tier " << T;
+    EXPECT_LE(Tw.V0, Tw.V1) << "tier " << T;
+    EXPECT_LE(Tw.V1, S.I1) << "tier " << T;
+    EXPECT_LE(S.I1, S.E1);
+    EXPECT_LE(S.E1, S.N);
+    // Every tap of a valid lane reads an existing lane the producer holds
+    // at the current step: one it evaluated, a pinned boundary lane, or
+    // (tier 1) any loaded lane.
+    for (long long L = Tw.V0; L < Tw.V1; ++L)
+      for (long long K = -Rad; K <= Rad; ++K) {
+        const long long R = L + K;
+        const bool Exists = R >= 0 && R < S.E1;
+        const bool Interior = R >= S.I0 && R < S.I1;
+        const bool Produced = T == 1 || (R >= Pw.V0 && R < Pw.V1);
+        EXPECT_TRUE(Exists && (Produced || !Interior))
+            << "tier " << T << " lane " << L << " reads lane " << R;
+      }
+    // The same for planes: an interior plane's stream taps fall in the
+    // producer's window.
+    for (long long P = std::max(Tw.PLo, 0LL);
+         P <= std::min(Tw.PHi, StreamExtent - 1); ++P)
+      EXPECT_TRUE(P - Rad >= Pw.PLo && P + Rad <= Pw.PHi)
+          << "tier " << T << " plane " << P;
+  }
+
+  // The final tier evaluates exactly what the block stores: the chunk's
+  // own planes and the interior lanes of the compute region.
+  const TierWindow &F = W.back();
+  EXPECT_EQ(F.PLo, ChunkLo);
+  EXPECT_EQ(F.PHi, ChunkHi - 1);
+  for (long long L = 0; L < S.N; ++L) {
+    const long long X = S.Lo + L;
+    const bool Stored = X >= 0 && X < Extent && X >= Origin &&
+                        X < Origin + Inv.ComputeWidth[Axis];
+    EXPECT_EQ(L >= F.V0 && L < F.V1, Stored) << "final tier lane " << L;
+  }
+}
+
+} // namespace
+
+// Every 2D/3D builtin at every degree of bT=4, on the first, a middle and
+// the last block of extents 1, 2, a prime, < bS and bS -+ 1, in the
+// first, a middle and the last chunk.
+TEST(ScheduleIrSegments, LaneClassesMatchTheGridAtAwkwardExtents) {
+  for (const std::string &Name : benchmarkStencilNames()) {
+    auto Program = makeBenchmarkStencil(Name, ScalarType::Float);
+    ASSERT_NE(Program, nullptr) << Name;
+    const int Rad = Program->radius();
+    BlockConfig Config;
+    Config.BT = 4;
+    for (int A = 0; A + 1 < Program->numDims(); ++A)
+      Config.BS.push_back(8 * Rad + 5 + 2 * A);
+    Config.HS = 5;
+    const ScheduleIR IR = lowerSchedule(*Program, Config);
+    const long long StreamExtent = 17;
+    for (const InvocationSchedule &Inv : IR.Invocations)
+      for (int A = 0; A + 1 < Program->numDims(); ++A) {
+        const auto Axis = static_cast<std::size_t>(A);
+        const long long BS = Inv.BS[Axis], Stride = Inv.BlockStride[Axis];
+        for (long long Extent : {1LL, 2LL, 13LL, BS - 3, BS - 1, BS + 1}) {
+          const long long Blocks = ceilDiv(Extent, Stride);
+          for (long long B : {0LL, Blocks / 2, Blocks - 1})
+            for (long long ChunkLo : {0LL, 5LL, 15LL})
+              checkAxis(Inv, A, B * Stride, Extent, ChunkLo,
+                        std::min(ChunkLo + Inv.ChunkLength, StreamExtent),
+                        StreamExtent,
+                        Name + " degree " + std::to_string(Inv.Degree));
+        }
+      }
+  }
 }
 
 //===----------------------------------------------------------------------===//

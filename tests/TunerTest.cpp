@@ -69,7 +69,8 @@ TEST(Tuner, RankingIsSortedAndFeasible) {
     EXPECT_GE(Ranked[I - 1].Model.Gflops, Ranked[I].Model.Gflops);
   for (const RankedConfig &R : Ranked) {
     EXPECT_TRUE(R.Model.Feasible);
-    EXPECT_TRUE(R.Config.isFeasible(P->radius()));
+    EXPECT_TRUE(R.Config.isFeasible(P->radius(),
+                                    GpuSpec::teslaV100().MaxThreadsPerBlock));
   }
 }
 
