@@ -112,18 +112,39 @@ BlockSpan an5d::blockSpan(const InvocationSchedule &Inv, int Axis,
   return S;
 }
 
-TierWindow an5d::tierWindow(const InvocationSchedule &Inv, int Tier,
-                            long long ChunkLo, long long ChunkHi,
-                            long long StreamExtent, const BlockSpan &Span) {
+BlockSpan an5d::unblockedSpan() {
+  BlockSpan S;
+  S.Width = 1;
+  S.N = 1;
+  S.I1 = 1;
+  S.E1 = 1;
+  return S;
+}
+
+/// How far past the block's own cells tier \p Tier reaches; tier 0 is the
+/// load stage.
+static long long tierReach(const InvocationSchedule &Inv, int Tier) {
   assert(Tier >= 0 && static_cast<size_t>(Tier) <= Inv.Tiers.size() &&
          "tier outside [0, degree]");
-  const long long Reach =
-      Tier == 0 ? Inv.LoadStreamReach
-                : Inv.Tiers[static_cast<size_t>(Tier) - 1].Reach;
-  TierWindow W;
+  return Tier == 0 ? Inv.LoadStreamReach
+                   : Inv.Tiers[static_cast<size_t>(Tier) - 1].Reach;
+}
+
+PlaneWindow an5d::tierPlanes(const InvocationSchedule &Inv, int Tier,
+                             long long ChunkLo, long long ChunkHi,
+                             long long StreamExtent) {
+  const long long Reach = tierReach(Inv, Tier);
+  PlaneWindow W;
   W.PLo = std::max(ChunkLo - Reach, -Inv.GridHalo);
   W.PHi = std::min(ChunkHi - 1 + Reach, StreamExtent - 1 + Inv.GridHalo);
-  W.V0 = clampTo(Span.Origin - Reach - Span.Lo, Span.I0, Span.I1);
-  W.V1 = clampTo(Span.Origin + Span.Width + Reach - Span.Lo, W.V0, Span.I1);
   return W;
+}
+
+LaneRange an5d::tierLanes(const InvocationSchedule &Inv, int Tier,
+                          const BlockSpan &Span) {
+  const long long Reach = tierReach(Inv, Tier);
+  LaneRange R;
+  R.V0 = clampTo(Span.Origin - Reach - Span.Lo, Span.I0, Span.I1);
+  R.V1 = clampTo(Span.Origin + Span.Width + Reach - Span.Lo, R.V0, Span.I1);
+  return R;
 }

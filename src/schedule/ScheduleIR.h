@@ -40,9 +40,9 @@
 ///     is the concurrent work-item set of the emitted `omp for` /
 ///     CUDA grid.
 ///
-/// blockSpan and tierWindow are the one host definition of how a block
-/// sorts its lanes per tier (pinned, carried, valid) and which planes a
-/// tier processes; the emulator calls them and the emitted kernel spells
+/// blockSpan, tierLanes and tierPlanes are the one host definition of how
+/// a block sorts its lanes per tier (pinned, carried, valid) and which
+/// planes a tier processes; the emulator calls them and the emitted kernel spells
 /// the same clamps under the same names.
 ///
 /// Every field is a plain mutable value so tests can corrupt single
@@ -215,24 +215,36 @@ struct BlockSpan {
 BlockSpan blockSpan(const InvocationSchedule &Inv, int Axis,
                     long long Origin, long long Extent);
 
-/// What tier \p Tier of one block does in the chunk [ChunkLo, ChunkHi)
-/// (0 <= ChunkLo < ChunkHi <= StreamExtent): it processes planes
-/// [PLo, PHi] and evaluates lanes [V0, V1) of \p Span, where
-/// I0 <= V0 <= V1 <= I1. Its other interior lanes carry the producer's
-/// value, and a boundary plane (outside [0, StreamExtent)) pins every
-/// lane. Tier 0 is the load stage (reach LoadStreamReach). The final tier
-/// has reach 0, so the same formula gives its store window: the chunk's
-/// own planes and the interior lanes of the compute region.
-struct TierWindow {
+/// The span of an axis the block does not cut (both axes in 1D, the row
+/// axis in 2D): one lane at coordinate 0, interior and valid at every
+/// tier.
+BlockSpan unblockedSpan();
+
+/// The planes [PLo, PHi] tier \p Tier of a block processes in the chunk
+/// [ChunkLo, ChunkHi) (0 <= ChunkLo < ChunkHi <= StreamExtent). A
+/// boundary plane (outside [0, StreamExtent)) pins every lane. Tier 0 is
+/// the load stage (reach LoadStreamReach); the final tier has reach 0, so
+/// its window is the chunk's own planes, the planes the block stores.
+struct PlaneWindow {
   long long PLo = 0; ///< First plane.
   long long PHi = 0; ///< Last plane.
-  long long V0 = 0;  ///< First valid lane.
-  long long V1 = 0;  ///< One past the last valid lane.
 };
 
-TierWindow tierWindow(const InvocationSchedule &Inv, int Tier,
-                      long long ChunkLo, long long ChunkHi,
-                      long long StreamExtent, const BlockSpan &Span);
+PlaneWindow tierPlanes(const InvocationSchedule &Inv, int Tier,
+                       long long ChunkLo, long long ChunkHi,
+                       long long StreamExtent);
+
+/// The lanes [V0, V1) of \p Span that tier \p Tier evaluates, where
+/// I0 <= V0 <= V1 <= I1; its other interior lanes carry the producer's
+/// value. The final tier (reach 0) evaluates, and stores, the interior
+/// lanes of the compute region.
+struct LaneRange {
+  long long V0 = 0; ///< First valid lane.
+  long long V1 = 0; ///< One past the last valid lane.
+};
+
+LaneRange tierLanes(const InvocationSchedule &Inv, int Tier,
+                    const BlockSpan &Span);
 
 } // namespace an5d
 

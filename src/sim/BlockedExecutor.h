@@ -28,9 +28,9 @@
 /// Each block sorts its lanes per tier exactly as the emitted kernel does,
 /// through the one rule of schedule/ScheduleIR.h: blockSpan cuts each
 /// blocked axis of the span to the padded grid and splits it into pinned
-/// and interior lanes, and tierWindow gives each tier its plane window
-/// and valid lanes (the interior lanes beyond them carry the producer's
-/// value). Cell evaluation runs through the compiled flat tape of
+/// and interior lanes, tierPlanes gives each tier its plane window and
+/// tierLanes its valid lanes (the interior lanes beyond them carry the
+/// producer's value). Cell evaluation runs through the compiled flat tape of
 /// ir/ExprPlan.h: each tap collapses to one flat ring offset
 /// (slot(plane + tap_stream_offset) * laneCount + tap_lane_offset),
 /// re-linearized once per sub-plane and shared by every lane, so the
@@ -219,8 +219,8 @@ private:
   /// Streams one thread-block through one chunk, laid out as the emitted
   /// kernel lays it out: lanes run along the last blocked axis, rows along
   /// the first in 3D, each axis cut to the padded grid (blockSpan), and
-  /// every tier runs over the plane window and valid lanes tierWindow
-  /// gives it. Loads, pins and carries are contiguous row copies and
+  /// every tier runs over its plane window (tierPlanes) and valid rows and
+  /// lanes (tierLanes). Loads, pins and carries are contiguous row copies and
   /// evaluations run over whole lane ranges.
   void runBlock(const Grid<T> &In, Grid<T> &Out,
                 const InvocationSchedule &Inv, long long ChunkLo,
@@ -233,16 +233,13 @@ private:
     const T *GridIn = In.data();
     T *GridOut = Out.data();
 
-    // An absent axis (both in 1D, the row axis in 2D) is a single lane,
-    // interior and valid at every tier.
-    const BlockSpan Single{0, 1, 0, 1, 0, 1, 1};
     auto SpanOf = [&](int Axis) {
       return blockSpan(Inv, Axis, Origins[static_cast<std::size_t>(Axis)],
                        Extents[static_cast<std::size_t>(Axis) + 1]);
     };
-    const BlockSpan Rows = NumBlockedDims == 2 ? SpanOf(0) : Single;
+    const BlockSpan Rows = NumBlockedDims == 2 ? SpanOf(0) : unblockedSpan();
     const BlockSpan Lanes =
-        NumBlockedDims >= 1 ? SpanOf(NumBlockedDims - 1) : Single;
+        NumBlockedDims >= 1 ? SpanOf(NumBlockedDims - 1) : unblockedSpan();
     // Row strides of the padded grid and of a ring sub-plane, and the
     // offset of lane (0, 0) within a padded plane.
     const long long GridRow = NumBlockedDims == 2 ? In.stride(1) : 0;
@@ -257,12 +254,12 @@ private:
 
     // Per tier (0 is the load stage): the plane window and the valid rows
     // and lanes.
-    std::vector<TierWindow> RowWin, LaneWin;
+    std::vector<PlaneWindow> Planes;
+    std::vector<LaneRange> ValidRows, ValidLanes;
     for (int Tier = 0; Tier <= Degree; ++Tier) {
-      RowWin.push_back(
-          tierWindow(Inv, Tier, ChunkLo, ChunkHi, StreamExtent, Rows));
-      LaneWin.push_back(
-          tierWindow(Inv, Tier, ChunkLo, ChunkHi, StreamExtent, Lanes));
+      Planes.push_back(tierPlanes(Inv, Tier, ChunkLo, ChunkHi, StreamExtent));
+      ValidRows.push_back(tierLanes(Inv, Tier, Rows));
+      ValidLanes.push_back(tierLanes(Inv, Tier, Lanes));
     }
 
     // Like the kernel, the emulator never clears its rings: every cell a
@@ -297,7 +294,7 @@ private:
     const long long SEnd = ChunkHi - 1 + Inv.Tiers.back().StreamLag;
     for (long long S = SBegin; S <= SEnd; ++S) {
       // Tier 0: load the existing cells of plane S into the tier-0 ring.
-      if (S >= LaneWin[0].PLo && S <= LaneWin[0].PHi) {
+      if (S >= Planes[0].PLo && S <= Planes[0].PHi) {
         T *Dst = Rings[0].data() + RingSlot(S);
         const T *Src = PlaneOf(GridIn, S);
         for (long long J = 0; J < Rows.E1; ++J)
@@ -310,9 +307,9 @@ private:
       // Tiers 1..Degree; the final tier stores straight to the output.
       for (const TierSchedule &TS : Inv.Tiers) {
         const auto Tier = static_cast<std::size_t>(TS.Tier);
-        const TierWindow &RW = RowWin[Tier], &LW = LaneWin[Tier];
+        const LaneRange &RV = ValidRows[Tier], &LV = ValidLanes[Tier];
         const long long Plane = S - TS.StreamLag;
-        if (Plane < LW.PLo || Plane > LW.PHi)
+        if (Plane < Planes[Tier].PLo || Plane > Planes[Tier].PHi)
           continue;
         const bool Final = TS.Tier == Degree;
         const T *Prev = Rings[Tier - 1].data();
@@ -325,12 +322,12 @@ private:
         const bool Boundary = Plane < 0 || Plane >= StreamExtent;
         if (!Boundary) {
           LinearizeTaps(Plane);
-          for (long long J = RW.V0; J < RW.V1; ++J)
-            for (long long L = LW.V0; L < LW.V1; ++L)
+          for (long long J = RV.V0; J < RV.V1; ++J)
+            for (long long L = LV.V0; L < LV.V1; ++L)
               Dst[J * DstRow + L] =
                   Tape.eval(Prev + J * RingRow + L, TapOffsets.data());
           if (Options.Stats) {
-            const long long Cells = (RW.V1 - RW.V0) * (LW.V1 - LW.V0);
+            const long long Cells = (RV.V1 - RV.V0) * (LV.V1 - LV.V0);
             Options.Stats->ComputeOps += Cells;
             if (Final)
               Options.Stats->GmWriteOps += Cells;
@@ -360,9 +357,9 @@ private:
               std::copy(CarryRow + Lo, CarryRow + Hi, Row + Lo);
           };
           std::copy(PinRow, PinRow + Lanes.I0, Row);
-          if (!Boundary && J >= RW.V0 && J < RW.V1) {
-            Keep(Lanes.I0, LW.V0);
-            Keep(LW.V1, Lanes.I1);
+          if (!Boundary && J >= RV.V0 && J < RV.V1) {
+            Keep(Lanes.I0, LV.V0);
+            Keep(LV.V1, Lanes.I1);
           } else {
             Keep(Lanes.I0, Lanes.I1);
           }

@@ -256,6 +256,27 @@ TEST(CliTool, VerifyNativeMatchesReference) {
       << Output;
 }
 
+// 64x32 = 2048 threads is past the GPU's 1024-thread cap, which binds only
+// the CUDA and model flows: the CPU kernel runs it, --emit-cuda refuses.
+TEST(CliTool, GpuThreadCapBindsOnlyGpuFlows) {
+  const std::string Config =
+      " --benchmark star3d1r --bt 2 --bs 64,32 --hs 0 --kernel-cache " +
+      sharedKernelCache();
+  auto [Code, Output] = runCommand(an5dc() + Config + " --verify-native");
+  EXPECT_EQ(Code, 0) << Output;
+  EXPECT_NE(Output.find("native == reference (bitwise)"), std::string::npos)
+      << Output;
+
+  const std::string Dir = ::testing::TempDir() + "/an5dc_cap_cuda";
+  auto [CudaCode, CudaOutput] =
+      runCommand(an5dc() + Config + " --emit-cuda " + Dir);
+  EXPECT_NE(CudaCode, 0) << CudaOutput;
+  EXPECT_NE(CudaOutput.find("exceeds 1024 threads per block"),
+            std::string::npos)
+      << CudaOutput;
+  EXPECT_FALSE(std::filesystem::exists(Dir));
+}
+
 TEST(CliTool, RunNativeSecondInvocationHitsCache) {
   std::string Cache = freshKernelCache("hit");
   std::string Command = an5dc() +

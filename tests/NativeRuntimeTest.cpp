@@ -124,7 +124,8 @@ void expectNativeMatchesReference(const StencilProgram &Program,
 /// failure recorded) on any mismatch. Given \p Emulated, the poisoned
 /// blocked emulator runs that configuration too and must match the kernel
 /// bitwise: the emulator sorts its lanes through ScheduleIR's blockSpan /
-/// tierWindow, the kernel through the clamps the emitter spells for them.
+/// tierLanes / tierPlanes, the kernel through the clamps the emitter
+/// spells for them.
 template <typename T>
 bool runMatchesReference(const NativeExecutor &Executor,
                          const StencilProgram &Program,

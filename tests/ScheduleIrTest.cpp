@@ -13,9 +13,9 @@
 ///     lowering is total and that the gate accepts it exactly when
 ///     BlockConfig::isFeasible does is property-tested over every
 ///     enumerated configuration in AnalysisPassTest.cpp.
-///  2. The lane-segment rule (blockSpan / tierWindow) sorts every lane of
-///     a block span exactly as the schedule needs: checked lane by lane
-///     against the grid coordinates at awkward extents.
+///  2. The lane-segment rule (blockSpan / tierLanes / tierPlanes) sorts
+///     every lane of a block span exactly as the schedule needs: checked
+///     lane by lane against the grid coordinates at awkward extents.
 ///  3. Render equivalence: the backends are pure renderers — feeding the
 ///     lowered IR into CppCodegen/CudaCodegen reproduces the checked-in
 ///     goldens byte for byte.
@@ -129,44 +129,48 @@ void checkAxis(const InvocationSchedule &Inv, int Axis, long long Origin,
     EXPECT_EQ(L < S.E1, X < Extent + Halo) << "lane " << L;
   }
 
-  std::vector<TierWindow> W;
-  for (int T = 0; T <= Inv.Degree; ++T)
-    W.push_back(tierWindow(Inv, T, ChunkLo, ChunkHi, StreamExtent, S));
+  std::vector<PlaneWindow> Pl;
+  std::vector<LaneRange> V;
+  for (int T = 0; T <= Inv.Degree; ++T) {
+    Pl.push_back(tierPlanes(Inv, T, ChunkLo, ChunkHi, StreamExtent));
+    V.push_back(tierLanes(Inv, T, S));
+  }
   for (int T = 1; T <= Inv.Degree; ++T) {
-    const TierWindow &Tw = W[static_cast<std::size_t>(T)];
-    const TierWindow &Pw = W[static_cast<std::size_t>(T) - 1];
+    const auto Ti = static_cast<std::size_t>(T);
+    const LaneRange &Tv = V[Ti], &Pv = V[Ti - 1];
+    const PlaneWindow &Tp = Pl[Ti], &Pp = Pl[Ti - 1];
     // 0 <= I0 <= V0 <= V1 <= I1 <= E1 <= N.
     EXPECT_LE(0, S.I0);
-    EXPECT_LE(S.I0, Tw.V0) << "tier " << T;
-    EXPECT_LE(Tw.V0, Tw.V1) << "tier " << T;
-    EXPECT_LE(Tw.V1, S.I1) << "tier " << T;
+    EXPECT_LE(S.I0, Tv.V0) << "tier " << T;
+    EXPECT_LE(Tv.V0, Tv.V1) << "tier " << T;
+    EXPECT_LE(Tv.V1, S.I1) << "tier " << T;
     EXPECT_LE(S.I1, S.E1);
     EXPECT_LE(S.E1, S.N);
     // Every tap of a valid lane reads an existing lane the producer holds
     // at the current step: one it evaluated, a pinned boundary lane, or
     // (tier 1) any loaded lane.
-    for (long long L = Tw.V0; L < Tw.V1; ++L)
+    for (long long L = Tv.V0; L < Tv.V1; ++L)
       for (long long K = -Rad; K <= Rad; ++K) {
         const long long R = L + K;
         const bool Exists = R >= 0 && R < S.E1;
         const bool Interior = R >= S.I0 && R < S.I1;
-        const bool Produced = T == 1 || (R >= Pw.V0 && R < Pw.V1);
+        const bool Produced = T == 1 || (R >= Pv.V0 && R < Pv.V1);
         EXPECT_TRUE(Exists && (Produced || !Interior))
             << "tier " << T << " lane " << L << " reads lane " << R;
       }
     // The same for planes: an interior plane's stream taps fall in the
     // producer's window.
-    for (long long P = std::max(Tw.PLo, 0LL);
-         P <= std::min(Tw.PHi, StreamExtent - 1); ++P)
-      EXPECT_TRUE(P - Rad >= Pw.PLo && P + Rad <= Pw.PHi)
+    for (long long P = std::max(Tp.PLo, 0LL);
+         P <= std::min(Tp.PHi, StreamExtent - 1); ++P)
+      EXPECT_TRUE(P - Rad >= Pp.PLo && P + Rad <= Pp.PHi)
           << "tier " << T << " plane " << P;
   }
 
   // The final tier evaluates exactly what the block stores: the chunk's
   // own planes and the interior lanes of the compute region.
-  const TierWindow &F = W.back();
-  EXPECT_EQ(F.PLo, ChunkLo);
-  EXPECT_EQ(F.PHi, ChunkHi - 1);
+  const LaneRange &F = V.back();
+  EXPECT_EQ(Pl.back().PLo, ChunkLo);
+  EXPECT_EQ(Pl.back().PHi, ChunkHi - 1);
   for (long long L = 0; L < S.N; ++L) {
     const long long X = S.Lo + L;
     const bool Stored = X >= 0 && X < Extent && X >= Origin &&
@@ -206,6 +210,30 @@ TEST(ScheduleIrSegments, LaneClassesMatchTheGridAtAwkwardExtents) {
                         Name + " degree " + std::to_string(Inv.Degree));
         }
       }
+  }
+}
+
+// An axis the block does not cut is one interior lane, valid at every
+// tier, whatever the tier's reach.
+TEST(ScheduleIrSegments, UnblockedAxisIsOneValidLane) {
+  auto Program = makeBenchmarkStencil("star3d2r", ScalarType::Float);
+  ASSERT_NE(Program, nullptr);
+  BlockConfig Config;
+  Config.BT = 3;
+  Config.BS = {24, 24};
+  Config.HS = 5;
+  const ScheduleIR IR = lowerSchedule(*Program, Config);
+  const InvocationSchedule &Inv = IR.full();
+  const BlockSpan S = unblockedSpan();
+  EXPECT_EQ(S.Lo, 0);
+  EXPECT_EQ(S.N, 1);
+  EXPECT_EQ(S.I0, 0);
+  EXPECT_EQ(S.I1, 1);
+  EXPECT_EQ(S.E1, 1);
+  for (int T = 0; T <= Inv.Degree; ++T) {
+    const LaneRange V = tierLanes(Inv, T, S);
+    EXPECT_EQ(V.V0, 0) << "tier " << T;
+    EXPECT_EQ(V.V1, 1) << "tier " << T;
   }
 }
 

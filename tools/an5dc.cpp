@@ -729,10 +729,23 @@ int main(int Argc, char **Argv) {
                    Program->numDims() - 1, Program->numDims());
       return 1;
     }
-    if (!Config.isFeasible(Program->radius(), Spec.MaxThreadsPerBlock)) {
+    if (!Config.isFeasible(Program->radius(), INT_MAX)) {
       std::fprintf(stderr,
                    "an5dc: configuration %s is infeasible for radius %d\n",
                    Config.toString().c_str(), Program->radius());
+      return 1;
+    }
+    // The threads-per-block cap is a GPU limit: it binds only the flows
+    // that render or model the config for the device.
+    const bool GpuFlow =
+        !Options.EmitCudaDir.empty() || Options.Report || Options.PrintModel;
+    if (GpuFlow &&
+        !Config.isFeasible(Program->radius(), Spec.MaxThreadsPerBlock)) {
+      std::fprintf(stderr,
+                   "an5dc: configuration %s exceeds %d threads per block "
+                   "on %s (--emit-cuda, --report, --print-model)\n",
+                   Config.toString().c_str(), Spec.MaxThreadsPerBlock,
+                   Spec.Name.c_str());
       return 1;
     }
   }
