@@ -778,8 +778,9 @@ static std::string emitKernelApi(const StencilProgram &Program,
          "// `extents` (streaming dimension first). The result of step `it`\n"
          "// ends in buf{it % 2}, exactly as the double-buffered input loop\n"
          "// would leave it. The buffers must be distinct (runInvocation\n"
-         "// declares them __restrict__). Returns 0 on success, non-zero\n"
-         "// on bad arguments. Reentrant: the extents are locals and each\n"
+         "// declares them __restrict__). Returns 0 on success, 1 on bad\n"
+         "// arguments and 3 if a working allocation fails; then neither\n"
+         "// buffer is written. Reentrant: the extents are locals and each\n"
          "// OpenMP thread owns its ring, so concurrent calls share nothing.\n";
   Out += "int an5d_run(void *buf0, void *buf1, const long long *extents,\n"
          "             long long it) {\n"
@@ -799,20 +800,46 @@ static std::string emitKernelApi(const StencilProgram &Program,
   Out += "  if (it == 0)\n"
          "    return 0;\n"
          "  Real *const bufs[2] = {(Real *)buf0, (Real *)buf1};\n"
-         "  int *deg = new int[it / BT + 2];\n"
+         "  // Every allocation is size-checked and made here, before the\n"
+         "  // parallel region, so no thread can fail alone and skip a\n"
+         "  // barrier.\n"
+         "  const long long ndeg = it / BT + 2;\n"
+         "  if (ndeg > __INT_MAX__ ||\n"
+         "      (unsigned long long)ndeg > __SIZE_MAX__ / sizeof(int))\n"
+         "    return 3;\n"
+         "  int *deg = (int *)__builtin_malloc(sizeof(int) * ndeg);\n"
+         "  if (!deg)\n"
+         "    return 3;\n"
          "  const int calls = schedule(it, BT, deg);\n"
+         "  // One ring per thread, each on a 64-byte boundary.\n"
+         "  const int nt = an5d_max_threads();\n"
+         "  const unsigned long long stride =\n"
+         "      (sizeof(Real) * RING_CELLS + 63) / 64 * 64;\n"
+         "  char *rings =\n"
+         "      (unsigned long long)nt <= (__SIZE_MAX__ - 64) / (stride + 64)\n"
+         "          ? (char *)__builtin_malloc(stride * nt + 64)\n"
+         "          : 0;\n"
+         "  if (!rings) {\n"
+         "    __builtin_free(deg);\n"
+         "    return 3;\n"
+         "  }\n"
+         "  char *const ring0 = rings + (64 - (__UINTPTR_TYPE__)rings % 64);\n"
          "#ifdef _OPENMP\n"
-         "#pragma omp parallel\n"
+         "#pragma omp parallel num_threads(nt)\n"
          "#endif\n"
          "  {\n"
-         "    Real *ring = new Real[RING_CELLS];\n"
+         "    int t = 0;\n"
+         "#ifdef _OPENMP\n"
+         "    t = omp_get_thread_num();\n"
+         "#endif\n"
+         "    Real *ring = (Real *)(ring0 + stride * t);\n"
          "    for (int c = 0; c < calls; ++c)\n"
          "      runInvocation(bufs[c % 2], bufs[(c + 1) % 2], deg[c], " +
          extentArgs(NumDims) +
          ", ring);\n"
-         "    delete[] ring;\n"
          "  }\n"
-         "  delete[] deg;\n"
+         "  __builtin_free(rings);\n"
+         "  __builtin_free(deg);\n"
          "  return calls % 2 == (int)(it % 2) ? 0 : 2;\n"
          "}\n\n";
   Out += "} // extern \"C\"\n";

@@ -26,9 +26,12 @@
 ///    worksharing loop when compiled with -fopenmp. This is what the
 ///    native runtime (src/runtime/) compiles, caches and loads. The TU
 ///    includes only <omp.h> (and <cmath> when the stencil calls a math
-///    function) and holds no mutable file-scope state: extents are
-///    locals, and `an5d_run` opens one parallel region in which every
-///    thread allocates its flat ring once, so the entry is reentrant.
+///    function), references nothing from the C++ runtime library, and
+///    holds no mutable file-scope state: extents are locals, and
+///    `an5d_run` allocates the degree list and one flat ring per thread
+///    with size-checked `__builtin_malloc` before it opens its one
+///    parallel region, so the entry is reentrant and an allocation
+///    failure returns a code instead of throwing across the C ABI.
 ///
 /// The invocation body renders the IR's per-degree tables. Tier 1 reads
 /// the input rows directly; tiers 1..bT-1 keep their sub-planes in the

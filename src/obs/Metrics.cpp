@@ -283,6 +283,7 @@ const std::vector<std::string> &knownMetricNames() {
       "analysis.findings",            // findings emitted by analysis passes
       "analysis.pass_runs",           // analysis pass executions
       "kernel_cache.compile_seconds", // histogram: successful JIT builds
+      "kernel_cache.corrupt",         // unloadable artifacts quarantined
       "kernel_cache.evictions",       // LRU size-cap removals
       "kernel_cache.failures",        // failed kernel builds
       "kernel_cache.hits",            // artifact served without compiling

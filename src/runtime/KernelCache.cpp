@@ -136,17 +136,30 @@ KernelArtifact KernelCache::getOrBuild(
   std::lock_guard<std::mutex> KeyLock(*KeyMutex);
 
   if (!ForceRecompile && fs::exists(Artifact.LibraryPath, Ec)) {
-    Artifact.Ok = true;
-    Artifact.CacheHit = true;
-    // Touch the artifact so the LRU eviction order tracks use, not just
-    // build time (a hot kernel hit daily must outlive a one-off build).
-    fs::last_write_time(Artifact.LibraryPath,
-                        fs::file_time_type::clock::now(), Ec);
-    Span.attr("hit", "true");
-    obs::count("kernel_cache.hits");
+    std::string LoadError;
+    Artifact.Library = DynamicKernel::load(Artifact.LibraryPath, &LoadError);
+    if (Artifact.Library) {
+      Artifact.Ok = true;
+      Artifact.CacheHit = true;
+      // Touch the artifact so the LRU eviction order tracks use, not just
+      // build time (a hot kernel hit daily must outlive a one-off build).
+      fs::last_write_time(Artifact.LibraryPath,
+                          fs::file_time_type::clock::now(), Ec);
+      Span.attr("hit", "true");
+      obs::count("kernel_cache.hits");
+      std::lock_guard<std::mutex> Lock(Mutex);
+      ++Stats.Hits;
+      return Artifact;
+    }
+    // The loader rejects the cached file: move it aside for inspection
+    // and rebuild once below.
+    fs::rename(Artifact.LibraryPath, Artifact.LibraryPath + ".corrupt", Ec);
+    if (Ec)
+      fs::remove(Artifact.LibraryPath, Ec);
+    Span.attr("corrupt", LoadError);
+    obs::count("kernel_cache.corrupt");
     std::lock_guard<std::mutex> Lock(Mutex);
-    ++Stats.Hits;
-    return Artifact;
+    ++Stats.Corrupt;
   }
   Span.attr("hit", "false");
 
@@ -164,6 +177,15 @@ KernelArtifact KernelCache::getOrBuild(
   Suffix += "." + std::to_string(::getpid());
 #endif
 
+  auto Fail = [&](std::string Log, const std::string &Leftover) {
+    Artifact.Log = std::move(Log);
+    fs::remove(Leftover, Ec);
+    obs::count("kernel_cache.failures");
+    std::lock_guard<std::mutex> Lock(Mutex);
+    ++Stats.Failures;
+    return Artifact;
+  };
+
   // The source is compiled from its temporary and only then installed at
   // the canonical path (for inspection / recompilation): writing the
   // shared path directly would truncate it under a concurrent builder's
@@ -173,14 +195,8 @@ KernelArtifact KernelCache::getOrBuild(
   {
     std::ofstream Out(TempSourcePath);
     Out << Source;
-    if (!Out) {
-      Artifact.Log = "cannot write " + TempSourcePath;
-      fs::remove(TempSourcePath, Ec);
-      obs::count("kernel_cache.failures");
-      std::lock_guard<std::mutex> Lock(Mutex);
-      ++Stats.Failures;
-      return Artifact;
-    }
+    if (!Out)
+      return Fail("cannot write " + TempSourcePath, TempSourcePath);
   }
 
   std::string TempPath = Artifact.LibraryPath + Suffix;
@@ -195,23 +211,18 @@ KernelArtifact KernelCache::getOrBuild(
     fs::remove(TempSourcePath, Ec); // canonical copy is best-effort only
   Artifact.Log = Outcome.Log;
   Artifact.CompileSeconds = Outcome.Seconds;
-  if (!Outcome.Success) {
-    Artifact.Log = "compile failed: " + Outcome.Command + "\n" + Outcome.Log;
-    fs::remove(TempPath, Ec);
-    obs::count("kernel_cache.failures");
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++Stats.Failures;
-    return Artifact;
-  }
+  if (!Outcome.Success)
+    return Fail("compile failed: " + Outcome.Command + "\n" + Outcome.Log,
+                TempPath);
   fs::rename(TempPath, Artifact.LibraryPath, Ec);
-  if (Ec) {
-    Artifact.Log = "cannot move " + TempPath + " into place: " + Ec.message();
-    fs::remove(TempPath, Ec);
-    obs::count("kernel_cache.failures");
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++Stats.Failures;
-    return Artifact;
-  }
+  if (Ec)
+    return Fail("cannot move " + TempPath + " into place: " + Ec.message(),
+                TempPath);
+  std::string LoadError;
+  Artifact.Library = DynamicKernel::load(Artifact.LibraryPath, &LoadError);
+  if (!Artifact.Library)
+    return Fail("compiled but cannot load: " + LoadError,
+                Artifact.LibraryPath);
 
   Artifact.Ok = true;
   obs::count("kernel_cache.misses");

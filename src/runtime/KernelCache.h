@@ -29,11 +29,19 @@
 /// cross-process races on one key stay benign (each produces a complete
 /// artifact).
 ///
+/// getOrBuild also loads the artifact it returns, so an artifact is only
+/// ever served loaded. A cached shared object the loader rejects (a
+/// truncated write, a file overwritten with junk) is quarantined as
+/// `an5d_<key>.so.corrupt`, counted as corrupt (never as a hit) and
+/// rebuilt once; a fresh build the loader rejects is removed and reported
+/// as a failure, so the next request starts clean.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef AN5D_RUNTIME_KERNELCACHE_H
 #define AN5D_RUNTIME_KERNELCACHE_H
 
+#include "runtime/DynamicKernel.h"
 #include "runtime/NativeCompiler.h"
 
 #include <cstdint>
@@ -52,6 +60,8 @@ struct KernelCacheStats {
   std::size_t Failures = 0;
   /// Artifacts removed by the LRU size cap (one per evicted key).
   std::size_t Evictions = 0;
+  /// Cached artifacts the loader rejected (quarantined and rebuilt).
+  std::size_t Corrupt = 0;
 };
 
 /// One resolved cache entry.
@@ -62,7 +72,9 @@ struct KernelArtifact {
   std::string Key;
   std::string SourcePath;
   std::string LibraryPath;
-  /// Compiler log on failure (empty on a hit).
+  /// The loaded shared object; set exactly when Ok.
+  std::shared_ptr<DynamicKernel> Library;
+  /// Compiler or loader log on failure (empty on a hit).
   std::string Log;
   double CompileSeconds = 0;
 };
@@ -99,8 +111,8 @@ public:
                              const std::string &CompilerFingerprint);
 
   /// Returns the cached shared object for (Source, Compiler, ExtraFlags),
-  /// compiling it on a miss. \p ForceRecompile rebuilds even on a hit
-  /// (counted as a miss).
+  /// loaded, compiling it on a miss or when the cached one does not load.
+  /// \p ForceRecompile rebuilds even on a hit (counted as a miss).
   KernelArtifact getOrBuild(const std::string &Source,
                             const NativeCompiler &Compiler,
                             const std::vector<std::string> &ExtraFlags = {},

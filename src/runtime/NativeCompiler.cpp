@@ -6,6 +6,9 @@
 
 #include "runtime/NativeCompiler.h"
 
+#include "runtime/KernelCache.h"
+
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -69,14 +72,35 @@ std::string shellQuote(const std::string &Path) {
   return Out;
 }
 
+/// The flags every kernel build starts from; the probe adds what the
+/// compiler accepts of kernelProbeFlags().
+const std::vector<std::string> &baseFlags() {
+  static const std::vector<std::string> Flags = {
+      "-std=c++17", "-O2", "-shared", "-fPIC", "-ffp-contract=off"};
+  return Flags;
+}
+
+/// Flags a kernel build keeps only if the compiler accepts them, in the
+/// order they are probed and appended: OpenMP worksharing, the ISA of the
+/// host that loads the kernel, and a link that does not read libstdc++
+/// (the kernel references nothing from it).
+const std::vector<std::string> &kernelProbeFlags() {
+  static const std::vector<std::string> Flags = {"-fopenmp", "-march=native",
+                                                 "-static-libstdc++"};
+  return Flags;
+}
+
 /// One-time probe results for a compiler command. Probing forks the
-/// compiler twice (--version, and an actual -fopenmp -shared build, since
-/// e.g. clang without libomp only fails at link time), so results are
-/// memoized per process: NativeExecutor constructs a NativeCompiler per
-/// kernel and must not pay the probe on every cache hit.
+/// compiler a few times (--version, a -shared build of a tiny OpenMP
+/// library, a predefined-macro dump), so results are memoized per
+/// process: NativeExecutor constructs a NativeCompiler per kernel and
+/// must not pay the probe on every cache hit.
 struct CompilerProbe {
   std::string Version;
-  bool OpenMp = false;
+  /// The accepted subset of kernelProbeFlags(), in order.
+  std::vector<std::string> Accepted;
+  /// Hash of the predefined macros under baseFlags() + Accepted.
+  std::string TargetDigest;
 };
 
 const CompilerProbe &probeCompiler(const std::string &Command) {
@@ -101,9 +125,9 @@ const CompilerProbe &probeCompiler(const std::string &Command) {
     if (Ec)
       Tmp = "/tmp";
 #if defined(_WIN32)
-    std::string Tag = "an5d_omp_probe";
+    std::string Tag = "an5d_probe";
 #else
-    std::string Tag = "an5d_omp_probe_" + std::to_string(::getpid());
+    std::string Tag = "an5d_probe_" + std::to_string(::getpid());
 #endif
     fs::path Source = Tmp / (Tag + ".cpp");
     fs::path Library = Tmp / (Tag + ".so");
@@ -116,13 +140,42 @@ const CompilerProbe &probeCompiler(const std::string &Command) {
              "  return n;\n"
              "}\n";
     }
-    auto [ProbeCode, ProbeOutput] = runCommand(
-        shellQuote(Command) + " -shared -fPIC -fopenmp -o " +
-        shellQuote(Library.string()) + " " + shellQuote(Source.string()));
-    (void)ProbeOutput;
-    Probe.OpenMp = ProbeCode == 0;
+    auto Line = [&](const std::vector<std::string> &Flags) {
+      std::string Cmd = shellQuote(Command);
+      for (const std::string &Flag : baseFlags())
+        Cmd += " " + Flag;
+      for (const std::string &Flag : Flags)
+        Cmd += " " + Flag;
+      return Cmd;
+    };
+    // A real shared-library build, since e.g. clang without libomp only
+    // fails at link time.
+    auto Builds = [&](const std::vector<std::string> &Flags) {
+      return runCommand(Line(Flags) + " -o " + shellQuote(Library.string()) +
+                        " " + shellQuote(Source.string()))
+                 .first == 0;
+    };
+    // One build accepts every flag on a usual toolchain; otherwise each
+    // flag is kept only if it still builds beside the ones kept before it.
+    if (Builds(kernelProbeFlags())) {
+      Probe.Accepted = kernelProbeFlags();
+    } else {
+      for (const std::string &Flag : kernelProbeFlags()) {
+        std::vector<std::string> Trial = Probe.Accepted;
+        Trial.push_back(Flag);
+        if (Builds(Trial))
+          Probe.Accepted = std::move(Trial);
+      }
+    }
     fs::remove(Source, Ec);
     fs::remove(Library, Ec);
+
+    // The macros the compiler predefines under the kept flags name the
+    // target it builds for (-march=native resolves to the host's ISA
+    // extensions), so a cache shared between hosts keys them apart.
+    auto [DumpCode, Macros] =
+        runCommand(Line(Probe.Accepted) + " -dM -E -x c++ /dev/null");
+    Probe.TargetDigest = KernelCache::hashKey(DumpCode == 0 ? Macros : "", "");
   }
 
   return Registry.emplace(Command, std::move(Probe)).first->second;
@@ -144,7 +197,13 @@ NativeCompiler::NativeCompiler(std::string Command)
     : Command_(Command.empty() ? detect() : std::move(Command)) {
   const CompilerProbe &Probe = probeCompiler(Command_);
   Version = Probe.Version;
-  OpenMp = Probe.OpenMp;
+  Accepted = Probe.Accepted;
+  TargetDigest = Probe.TargetDigest;
+}
+
+bool NativeCompiler::openMpSupported() const {
+  return std::find(Accepted.begin(), Accepted.end(), "-fopenmp") !=
+         Accepted.end();
 }
 
 std::vector<std::string> NativeCompiler::sanitizerFlags() {
@@ -175,13 +234,12 @@ std::vector<std::string> NativeCompiler::sanitizerFlags() {
 
 std::vector<std::string> NativeCompiler::flags() const {
   // -ffp-contract=off keeps the bit-for-bit contract with the in-process
-  // executors (no fused mul/add); see the file comment. -fopenmp appears
-  // only when the probe built an OpenMP shared library, and through
-  // fingerprint() it is part of the cache key — so a toolchain gaining or
-  // losing OpenMP support (or a sanitizer appearing) can never be served
-  // a stale artifact.
-  std::vector<std::string> Flags = {"-std=c++17", "-O2", "-shared",
-                                    "-fPIC", "-ffp-contract=off"};
+  // executors (no fused mul/add); see the file comment. The probed flags
+  // appear only when the compiler built with them, and through
+  // fingerprint() they are part of the cache key — so a toolchain gaining
+  // or losing one (or a sanitizer appearing) can never be served a stale
+  // artifact.
+  std::vector<std::string> Flags = baseFlags();
   const std::vector<std::string> Sanitize = sanitizerFlags();
   bool ThreadSanitizer = false;
   for (const std::string &Flag : Sanitize)
@@ -193,15 +251,17 @@ std::vector<std::string> NativeCompiler::flags() const {
   // schedule-identical (the pair loop just runs on one thread), so TSan
   // still exercises the full tier pipeline. See README "Static
   // verification & sanitizers".
-  if (OpenMp && !ThreadSanitizer)
-    Flags.push_back("-fopenmp");
+  for (const std::string &Flag : Accepted)
+    if (!(ThreadSanitizer && Flag == "-fopenmp"))
+      Flags.push_back(Flag);
   Flags.insert(Flags.end(), Sanitize.begin(), Sanitize.end());
   return Flags;
 }
 
 std::string
 NativeCompiler::fingerprint(const std::vector<std::string> &ExtraFlags) const {
-  std::string Out = Command_ + "\n" + Version + "\n";
+  std::string Out =
+      Command_ + "\n" + Version + "\ntarget " + TargetDigest + "\n";
   for (const std::string &Flag : flags())
     Out += Flag + " ";
   for (const std::string &Flag : ExtraFlags)

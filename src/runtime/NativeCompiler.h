@@ -6,21 +6,31 @@
 ///
 /// \file
 /// Shells out to the host C++ compiler to build a generated kernel
-/// translation unit into a shared library. The compiler is resolved once
-/// (AN5D_CXX environment variable, then the compiler CMake configured the
-/// project with, then plain `c++`) and probed — per process, per command —
-/// for its version string and for working -fopenmp support (a tiny shared
-/// library is actually built, so a clang without libomp fails the probe
-/// and kernels compile serially). The (command, version, effective flags)
-/// triple forms the fingerprint KernelCache hashes, so a toolchain change
-/// — including OpenMP support appearing or vanishing — lands on fresh
-/// cache keys instead of serving stale artifacts.
+/// translation unit into a shared library for the host that loads it.
+/// The compiler is resolved once (AN5D_CXX environment variable, then the
+/// compiler CMake configured the project with, then plain `c++`) and
+/// probed once per process per command: its version string, which of the
+/// optional kernel flags it accepts (a tiny OpenMP shared library is
+/// actually built, so a clang without libomp fails the probe and kernels
+/// compile serially), and a hash of the macros it predefines under the
+/// kept flags (`-dM -E`). The (command, version, target macros, effective
+/// flags) tuple forms the fingerprint KernelCache hashes, so a toolchain
+/// change, a flag appearing or vanishing, or a host of another ISA sharing
+/// the cache lands on fresh keys instead of serving a foreign artifact.
 ///
-/// The flag set is deliberately small: -O2 -shared -fPIC plus
-/// -ffp-contract=off and (when supported) -fopenmp. The contraction flag
-/// is load-bearing — the kernels promise bit-for-bit agreement with the
-/// in-process executors, and a fused mul/add would break that (see the
-/// root CMakeLists rationale).
+/// Every build uses -std=c++17 -O2 -shared -fPIC -ffp-contract=off plus
+/// the accepted subset of:
+///   -fopenmp            OpenMP worksharing over the kernel's blocks;
+///   -march=native       the host's vector ISA (AVX2/AVX-512 where present
+///                       instead of x86-64's 16-byte SSE2);
+///   -static-libstdc++   a link that skips libstdc++.so: the kernel TU
+///                       references nothing from it, so nothing is pulled
+///                       in and the built object needs no C++ runtime.
+/// The contraction flag is load-bearing — the kernels promise bit-for-bit
+/// agreement with the in-process executors, and a fused mul/add would
+/// break that (see the root CMakeLists rationale); no fast-math flag is
+/// ever added, so a wider vector ISA changes speed, not results. A caller
+/// overrides any of these through the extra flags (e.g. -march=x86-64).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,7 +72,11 @@ public:
 
   /// True if the probe built a -fopenmp shared library successfully;
   /// kernels then compile with OpenMP worksharing enabled.
-  bool openMpSupported() const { return OpenMp; }
+  bool openMpSupported() const;
+
+  /// Hash of the compiler's predefined macros under the probed flags;
+  /// part of fingerprint(). Empty if the compiler is unavailable.
+  const std::string &targetDigest() const { return TargetDigest; }
 
   /// The sanitizer flags kernel builds inherit so dlopen'd kernels run
   /// under the *same* sanitizer as the host process: the
@@ -71,10 +85,10 @@ public:
   /// project was configured with AN5D_SANITIZE. Empty in a plain build.
   static std::vector<std::string> sanitizerFlags();
 
-  /// The flags every kernel build uses with this compiler, in order
-  /// (-fopenmp included iff supported, sanitizerFlags() appended; under
-  /// -fsanitize=thread the OpenMP flag is dropped — see flags() for the
-  /// uninstrumented-libgomp rationale). \p ExtraFlags of
+  /// The flags every kernel build uses with this compiler, in order (the
+  /// probed flags the compiler accepted included, sanitizerFlags()
+  /// appended; under -fsanitize=thread the OpenMP flag is dropped — see
+  /// flags() for the uninstrumented-libgomp rationale). \p ExtraFlags of
   /// compileSharedLibrary are appended after these, so callers can
   /// override (e.g. a test passing -O1 for faster builds).
   std::vector<std::string> flags() const;
@@ -92,7 +106,9 @@ public:
 private:
   std::string Command_;
   std::string Version;
-  bool OpenMp = false;
+  /// The probed flags the compiler accepted, in probe order.
+  std::vector<std::string> Accepted;
+  std::string TargetDigest;
 };
 
 } // namespace an5d

@@ -84,12 +84,7 @@ NativeExecutor::NativeExecutor(const StencilProgram &Program,
     return;
   }
 
-  std::string LoadError;
-  Library = DynamicKernel::load(Artifact.LibraryPath, &LoadError);
-  if (!Library) {
-    Error = LoadError;
-    return;
-  }
+  Library = std::move(Artifact.Library);
 
   auto *AbiVersion = Library->fn<IntFn>("an5d_abi_version");
   auto *Dims = Library->fn<IntFn>("an5d_num_dims");
@@ -128,6 +123,21 @@ NativeExecutor::NativeExecutor(const StencilProgram &Program,
             Artifact.LibraryPath + ")";
     Library.reset();
     return;
+  }
+}
+
+const char *NativeExecutor::describeRunCode(int Rc) {
+  switch (Rc) {
+  case 0:
+    return "success";
+  case 1:
+    return "bad arguments";
+  case 2:
+    return "buffer parity mismatch";
+  case 3:
+    return "working allocation failed";
+  default:
+    return "unknown code";
   }
 }
 

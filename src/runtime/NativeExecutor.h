@@ -33,6 +33,13 @@
 ///                                         // invocation restrict-qualifies
 ///                                         // them); reentrant
 ///
+/// an5d_run returns 1 on bad arguments, 2 if the schedule's buffer parity
+/// disagrees with the step count, and 3 if its working memory (the degree
+/// list and the per-thread rings, all size-checked and allocated before
+/// the parallel region) cannot be had; on 1 and 3 neither buffer is
+/// written. No C++ exception crosses the C ABI: the kernel allocates with
+/// malloc and links no C++ runtime.
+///
 /// Both buffers are padded row-major grids with a halo of radius cells per
 /// side of every dimension in `extents` (streaming dimension first) —
 /// exactly Grid<T>'s layout, so run() passes Grid::data() straight through.
@@ -158,11 +165,14 @@ public:
                     static_cast<int>(Extents.size()), TimeSteps);
     if (Rc != 0) {
       std::fprintf(stderr,
-                   "an5d: native kernel %s rejected the run (code %d)\n",
-                   Artifact.LibraryPath.c_str(), Rc);
+                   "an5d: native kernel %s rejected the run (code %d: %s)\n",
+                   Artifact.LibraryPath.c_str(), Rc, describeRunCode(Rc));
       std::abort();
     }
   }
+
+  /// Names an an5d_run return code (see the ABI above) for diagnostics.
+  static const char *describeRunCode(int Rc);
 
   /// Untyped entry for callers that manage raw buffers (the timing path).
   /// Returns the kernel's an5d_run result; -1 on arity mismatch.
@@ -180,7 +190,7 @@ private:
   std::string Error;
   KernelArtifact Artifact;
   std::unique_ptr<KernelCache> OwnedCache;
-  std::unique_ptr<DynamicKernel> Library;
+  std::shared_ptr<DynamicKernel> Library;
 
   int NumDims = 0;
   int Radius = 0;

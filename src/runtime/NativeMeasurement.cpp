@@ -171,8 +171,9 @@ nativeMeasuredSweep(const StencilProgram &Program,
                                        Options.Repeats,
                                        Options.Runtime.Threads);
     if (Timing.Rc != 0) {
-      Results[I].FailureReason = "kernel rejected the run (code " +
-                                 std::to_string(Timing.Rc) + ")";
+      Results[I].FailureReason =
+          "kernel rejected the run (code " + std::to_string(Timing.Rc) +
+          ": " + NativeExecutor::describeRunCode(Timing.Rc) + ")";
       Results[I].FailureKind = MeasureFailureKind::RunRejected;
       continue;
     }

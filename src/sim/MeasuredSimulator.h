@@ -18,8 +18,6 @@
 ///  * very high register pressure (high-order 3D box stencils) degrades
 ///    achievable throughput beyond what the model sees.
 ///
-/// All deviations from real hardware are documented in EXPERIMENTS.md.
-///
 /// This simulator models hardware we do not have. For measurements on
 /// hardware we *do* have, the native runtime (runtime/NativeMeasurement.h)
 /// JIT-compiles the generated OpenMP kernels and times them on the host

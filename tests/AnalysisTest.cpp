@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -108,13 +109,16 @@ TEST(KernelLint, AllGeneratedKernelLibrariesAreClean) {
     for (ScalarType Type : {ScalarType::Float, ScalarType::Double}) {
       auto Program = makeBenchmarkStencil(Name, Type);
       ASSERT_NE(Program, nullptr) << Name;
+      const int Rad = Program->radius();
       BlockConfig C;
       C.BT = 2;
+      // Every blocked axis keeps a compute width of at least 16 lanes.
       if (Program->numDims() == 2)
         C.BS = {64};
       else if (Program->numDims() == 3)
-        C.BS = {16, 16};
+        C.BS = {2 * C.BT * Rad + 16, 2 * C.BT * Rad + 16};
       C.HS = 128;
+      ASSERT_TRUE(C.isFeasible(Rad, INT_MAX)) << Name << " " << C.toString();
       LintReport Report = lintTranslationUnit(
           generateCppKernelLibrary(*Program, lowerSchedule(*Program, C)),
           LintTarget::KernelLibrary,

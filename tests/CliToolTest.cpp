@@ -373,6 +373,52 @@ TEST(CliTool, BrokenCompilerSurfacesFailureCountNotInfeasible) {
       << "the warning must carry the failure cause";
 }
 
+// A missing compiler is a build failure, reported as one: nonzero exit,
+// the cause on stderr, and never a MISMATCH verdict.
+TEST(CliTool, VerifyNativeReportsMissingCompilerAsBuildFailure) {
+  auto [Code, Output] = runCommand(
+      "AN5D_CXX=false " + an5dc() +
+      " --benchmark j2d5pt --bt 2 --bs 32 --hs 8 --kernel-cache " +
+      freshKernelCache("false-cxx") + " --verify-native");
+  EXPECT_NE(Code, 0) << Output;
+  EXPECT_EQ(Output.find("MISMATCH"), std::string::npos) << Output;
+  EXPECT_NE(Output.find("not available"), std::string::npos) << Output;
+  EXPECT_NE(Output.find("not verified"), std::string::npos) << Output;
+}
+
+// A cached kernel overwritten with text is quarantined and rebuilt: the
+// next run verifies bitwise and counts the artifact corrupt, not a hit.
+TEST(CliTool, VerifyNativeHealsACorruptCachedKernel) {
+  const std::string Cache = freshKernelCache("corrupt");
+  const std::string Command =
+      an5dc() + " --benchmark j2d5pt --bt 3 --bs 32 --hs 8 --kernel-cache " +
+      Cache + " --verify-native";
+  auto [Code1, Output1] = runCommand(Command);
+  ASSERT_EQ(Code1, 0) << Output1;
+  std::string Library;
+  for (const auto &Entry : std::filesystem::directory_iterator(Cache))
+    if (Entry.path().extension() == ".so")
+      Library = Entry.path().string();
+  ASSERT_FALSE(Library.empty());
+  std::ofstream(Library) << "this is not a shared object\n";
+
+  auto [Code2, Output2] = runCommand(Command);
+  EXPECT_EQ(Code2, 0) << Output2;
+  EXPECT_NE(Output2.find("native == reference (bitwise)"), std::string::npos)
+      << Output2;
+  EXPECT_EQ(Output2.find("MISMATCH"), std::string::npos) << Output2;
+  EXPECT_NE(Output2.find("0 hit(s), 1 miss(es), 0 failure(s), 0 "
+                         "eviction(s), 1 corrupt"),
+            std::string::npos)
+      << Output2;
+  EXPECT_TRUE(std::filesystem::exists(Library + ".corrupt"));
+
+  auto [Code3, Output3] = runCommand(Command);
+  EXPECT_EQ(Code3, 0) << Output3;
+  EXPECT_NE(Output3.find("1 hit(s), 0 miss(es)"), std::string::npos)
+      << Output3;
+}
+
 TEST(CliTool, CudaEmissionSupports1dStencils) {
   std::string Dir = ::testing::TempDir() + "/an5dc_cuda1d_out";
   auto [Code, Output] = runCommand(

@@ -26,6 +26,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "codegen/CppCodegen.h"
+#include "obs/Metrics.h"
 #include "runtime/KernelCache.h"
 #include "runtime/NativeCompiler.h"
 #include "runtime/NativeExecutor.h"
@@ -41,9 +42,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
+#include <cstdlib>
 #include <cstring>
+#include <elf.h>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <sys/stat.h>
 #include <thread>
 #include <vector>
 
@@ -155,6 +162,57 @@ bool runMatchesReference(const NativeExecutor &Executor,
   EXPECT_TRUE(Same) << Program.name() << " " << Shape << " x " << Steps
                     << " steps (rc " << Rc << ")";
   return Same;
+}
+
+/// Writes an executable /bin/sh compiler wrapper named \p Name whose body
+/// is \p Body; `$REAL` in it is the host compiler.
+std::string writeCompilerWrapper(const std::string &Name,
+                                 const std::string &Body) {
+  const std::string Dir = ::testing::TempDir() + "an5d-wrappers";
+  std::filesystem::create_directories(Dir);
+  const std::string Path = Dir + "/" + Name;
+  std::ofstream(Path) << "#!/bin/sh\nREAL='" << NativeCompiler::detect()
+                      << "'\n"
+                      << Body;
+  ::chmod(Path.c_str(), 0755);
+  return Path;
+}
+
+/// The DT_NEEDED entries of the 64-bit ELF shared object at \p Path, read
+/// from its .dynamic section.
+std::vector<std::string> neededLibraries(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  const std::vector<char> Bytes((std::istreambuf_iterator<char>(In)),
+                                std::istreambuf_iterator<char>());
+  std::vector<std::string> Needed;
+  auto Read = [&](auto &Out, std::size_t Offset) {
+    if (Offset + sizeof(Out) > Bytes.size())
+      return false;
+    std::memcpy(&Out, Bytes.data() + Offset, sizeof(Out));
+    return true;
+  };
+  Elf64_Ehdr Header;
+  if (!Read(Header, 0) || std::memcmp(Header.e_ident, ELFMAG, SELFMAG) != 0 ||
+      Header.e_ident[EI_CLASS] != ELFCLASS64)
+    return Needed;
+  for (std::size_t I = 0; I < Header.e_shnum; ++I) {
+    Elf64_Shdr Dynamic, Strings;
+    if (!Read(Dynamic, Header.e_shoff + I * Header.e_shentsize) ||
+        Dynamic.sh_type != SHT_DYNAMIC ||
+        !Read(Strings, Header.e_shoff + Dynamic.sh_link * Header.e_shentsize))
+      continue;
+    for (std::size_t Off = 0; Off + sizeof(Elf64_Dyn) <= Dynamic.sh_size;
+         Off += sizeof(Elf64_Dyn)) {
+      Elf64_Dyn Entry;
+      if (!Read(Entry, Dynamic.sh_offset + Off) || Entry.d_tag == DT_NULL)
+        break;
+      const std::size_t Name = Strings.sh_offset + Entry.d_un.d_val;
+      if (Entry.d_tag == DT_NEEDED && Name < Bytes.size())
+        Needed.emplace_back(Bytes.data() + Name,
+                            strnlen(Bytes.data() + Name, Bytes.size() - Name));
+    }
+  }
+  return Needed;
 }
 
 /// Every built-in benchmark: the Table 3 2D/3D set plus the extra 1D
@@ -498,9 +556,176 @@ TEST(NativeRuntime, ReportsMissingCompiler) {
   EXPECT_NE(Executor.error().find("not available"), std::string::npos);
 }
 
+// A step count whose degree list cannot be allocated is refused with the
+// allocation code before either buffer is written: no exception, no
+// abort, nothing half-run.
+TEST(NativeRuntime, UnallocatableStepCountFailsClosed) {
+  auto Program = makeBenchmarkStencil("j2d5pt", ScalarType::Float);
+  NativeExecutor Executor(*Program, testConfig(*Program),
+                          fastBuildOptions(sharedCacheDir()));
+  ASSERT_TRUE(Executor.ok()) << Executor.error();
+  Grid<float> A({9, 8}, 1), B({9, 8}, 1);
+  fillGridDeterministic(A, 5);
+  fillGridDeterministic(B, 6);
+  const std::vector<float> WantA = A.raw(), WantB = B.raw();
+  const int Rc =
+      Executor.runRaw(A.data(), B.data(), A.extents().data(), 2, LLONG_MAX);
+  EXPECT_EQ(Rc, 3);
+  EXPECT_NE(std::string(NativeExecutor::describeRunCode(Rc)).find("alloc"),
+            std::string::npos);
+  EXPECT_EQ(A.raw(), WantA);
+  EXPECT_EQ(B.raw(), WantB);
+}
+
+//===----------------------------------------------------------------------===//
+// Build contract: host ISA, lean link, target-keyed cache
+//===----------------------------------------------------------------------===//
+
+// The kernel TU references nothing from the C++ runtime, so no kernel
+// depends on libstdc++ at load time.
+TEST(NativeBuild, KernelsDoNotNeedTheCxxRuntime) {
+  for (const char *Name : {"j1d3pt", "j2d5pt", "star3d1r"}) {
+    auto Program = makeBenchmarkStencil(Name, ScalarType::Float);
+    NativeExecutor Executor(*Program, testConfig(*Program),
+                            fastBuildOptions(sharedCacheDir()));
+    ASSERT_TRUE(Executor.ok()) << Executor.error();
+    const std::vector<std::string> Needed =
+        neededLibraries(Executor.libraryPath());
+    ASSERT_FALSE(Needed.empty()) << Name << ": no DT_NEEDED entries read";
+    for (const std::string &Library : Needed)
+      EXPECT_EQ(Library.find("libstdc++"), std::string::npos)
+          << Name << " needs " << Library;
+  }
+}
+
+// The predefined-macro digest is part of the fingerprint: a compiler that
+// targets something else under the same flags (here a wrapper defining
+// one extra macro, as -march for another ISA would) lands on other keys,
+// while a pass-through wrapper reports the host compiler's digest.
+TEST(NativeBuild, TargetMacrosEnterTheFingerprint) {
+  const std::string Plain =
+      writeCompilerWrapper("plain-cxx", "exec \"$REAL\" \"$@\"\n");
+  const std::string Marked = writeCompilerWrapper(
+      "marked-cxx", "exec \"$REAL\" \"$@\" -DAN5D_TARGET_MARKER\n");
+  const std::string Saved =
+      std::getenv("AN5D_CXX") ? std::getenv("AN5D_CXX") : "";
+  ::setenv("AN5D_CXX", Plain.c_str(), 1);
+  NativeCompiler PlainCompiler;
+  ::setenv("AN5D_CXX", Marked.c_str(), 1);
+  NativeCompiler MarkedCompiler;
+  if (Saved.empty())
+    ::unsetenv("AN5D_CXX");
+  else
+    ::setenv("AN5D_CXX", Saved.c_str(), 1);
+
+  ASSERT_EQ(MarkedCompiler.command(), Marked);
+  ASSERT_TRUE(PlainCompiler.available());
+  ASSERT_TRUE(MarkedCompiler.available());
+  EXPECT_EQ(PlainCompiler.targetDigest(), NativeCompiler().targetDigest());
+  EXPECT_NE(MarkedCompiler.targetDigest(), PlainCompiler.targetDigest());
+  EXPECT_EQ(MarkedCompiler.flags(), PlainCompiler.flags());
+  const std::string Fingerprint = MarkedCompiler.fingerprint({});
+  EXPECT_NE(Fingerprint.find(MarkedCompiler.targetDigest()),
+            std::string::npos);
+  EXPECT_NE(Fingerprint, PlainCompiler.fingerprint({}));
+}
+
+// A compiler that rejects -march=native still builds correct kernels: the
+// probe drops the flag, and it is absent from the flags and the key.
+TEST(NativeBuild, CompilerRejectingHostIsaStillBuildsCorrectKernels) {
+  const std::string Wrapper = writeCompilerWrapper(
+      "no-march-cxx", "for a in \"$@\"; do\n"
+                      "  [ \"$a\" = -march=native ] && exit 1\n"
+                      "done\n"
+                      "exec \"$REAL\" \"$@\"\n");
+  NativeCompiler Compiler(Wrapper);
+  ASSERT_TRUE(Compiler.available());
+  for (const std::string &Flag : Compiler.flags())
+    EXPECT_NE(Flag, "-march=native");
+  EXPECT_EQ(Compiler.fingerprint({}).find("-march=native"),
+            std::string::npos);
+  EXPECT_EQ(Compiler.openMpSupported(), NativeCompiler().openMpSupported());
+
+  NativeRuntimeOptions Options = fastBuildOptions(freshCacheDir("no-march"));
+  Options.Compiler = Wrapper;
+  for (const char *Name : {"j2d5pt", "star3d1r"}) {
+    auto Program = makeBenchmarkStencil(Name, ScalarType::Double);
+    NativeExecutor Executor(*Program, testConfig(*Program), Options);
+    ASSERT_TRUE(Executor.ok()) << Name << ": " << Executor.error();
+    runMatchesReference<double>(Executor, *Program,
+                                Program->numDims() == 2
+                                    ? std::vector<long long>{23, 19}
+                                    : std::vector<long long>{13, 11, 10},
+                                5);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Kernel cache
 //===----------------------------------------------------------------------===//
+
+// A cached artifact the loader rejects is quarantined and rebuilt once;
+// the lookup counts it corrupt and never as a hit.
+TEST(KernelCache, CorruptArtifactIsQuarantinedAndRebuilt) {
+  auto Program = makeBenchmarkStencil("j2d9pt", ScalarType::Double);
+  const ScheduleIR Schedule = lowerSchedule(*Program, testConfig(*Program));
+  NativeRuntimeOptions Options = fastBuildOptions(freshCacheDir("corrupt"));
+  NativeCompiler Compiler(Options.Compiler);
+  KernelCache Cache(Options.CacheDir);
+  const std::string Slot =
+      Options.CacheDir + "/an5d_" +
+      KernelCache::hashKey(generateCppKernelLibrary(*Program, Schedule),
+                           Compiler.fingerprint(Options.ExtraCompileFlags)) +
+      ".so";
+  std::ofstream(Slot) << "this is not a shared object\n";
+  obs::MetricsRegistry &Registry = obs::MetricsRegistry::global();
+  const long long Corrupt0 = Registry.counterValue("kernel_cache.corrupt");
+  const long long Hits0 = Registry.counterValue("kernel_cache.hits");
+
+  NativeExecutor Healed(*Program, Schedule, Options, &Cache);
+  ASSERT_TRUE(Healed.ok()) << Healed.error();
+  EXPECT_FALSE(Healed.cacheHit());
+  KernelCacheStats Stats = Cache.stats();
+  EXPECT_EQ(Stats.Corrupt, 1u);
+  EXPECT_EQ(Stats.Hits, 0u);
+  EXPECT_EQ(Stats.Misses, 1u);
+  EXPECT_EQ(Registry.counterValue("kernel_cache.corrupt") - Corrupt0, 1);
+  EXPECT_EQ(Registry.counterValue("kernel_cache.hits") - Hits0, 0);
+  EXPECT_TRUE(std::filesystem::exists(Slot + ".corrupt"));
+  runMatchesReference<double>(Healed, *Program, {23, 19}, 5);
+
+  NativeExecutor Again(*Program, Schedule, Options, &Cache);
+  ASSERT_TRUE(Again.ok()) << Again.error();
+  EXPECT_TRUE(Again.cacheHit());
+  EXPECT_EQ(Cache.stats().Corrupt, 1u);
+}
+
+// A compiler that exits 0 without producing a loadable object fails the
+// build with the loader's reason and leaves no artifact behind.
+TEST(KernelCache, UnloadableBuildIsAFailure) {
+  const std::string Wrapper = writeCompilerWrapper(
+      "junk-cxx", "case \"$*\" in *--version*) exec \"$REAL\" \"$@\";; "
+                  "esac\n"
+                  "while [ $# -gt 0 ]; do\n"
+                  "  [ \"$1\" = -o ] && echo junk > \"$2\"\n"
+                  "  shift\n"
+                  "done\n");
+  NativeCompiler Compiler(Wrapper);
+  ASSERT_TRUE(Compiler.available());
+  KernelCache Cache(freshCacheDir("junk"));
+  auto Program = makeBenchmarkStencil("j2d5pt", ScalarType::Float);
+  KernelArtifact Artifact = Cache.getOrBuild(
+      generateCppKernelLibrary(*Program,
+                               lowerSchedule(*Program, testConfig(*Program))),
+      Compiler);
+  EXPECT_FALSE(Artifact.Ok);
+  EXPECT_EQ(Artifact.Library, nullptr);
+  EXPECT_NE(Artifact.Log.find("cannot load"), std::string::npos)
+      << Artifact.Log;
+  EXPECT_FALSE(std::filesystem::exists(Artifact.LibraryPath));
+  EXPECT_EQ(Cache.stats().Failures, 1u);
+  EXPECT_EQ(Cache.stats().Misses, 0u);
+}
 
 TEST(KernelCache, HashKeyIsStableAndDiscriminating) {
   std::string KeyA = KernelCache::hashKey("source-a", "compiler-x");

@@ -414,17 +414,21 @@ BlockConfig verificationConfig(const StencilProgram &Program,
   return Small;
 }
 
+/// What --verify-native found. A kernel that cannot be built, loaded or
+/// run is reported as such, never as a mismatch.
+enum class NativeVerdict { Bitwise, Mismatch, Unavailable };
+
 /// Verifies the compiled native kernel against the reference bit for bit.
 /// Unlike --verify this runs the *actual* configuration — the native
 /// kernel handles production-sized blocks without shrinking.
 template <typename T>
-bool verifyNativeKernel(const StencilProgram &Program,
-                        const BlockConfig &Config,
-                        const NativeRuntimeOptions &NativeOpts) {
+NativeVerdict verifyNativeKernel(const StencilProgram &Program,
+                                 const BlockConfig &Config,
+                                 const NativeRuntimeOptions &NativeOpts) {
   NativeExecutor Executor(Program, Config, NativeOpts);
   if (!Executor.ok()) {
     std::fprintf(stderr, "an5dc: %s\n", Executor.error().c_str());
-    return false;
+    return NativeVerdict::Unavailable;
   }
   std::vector<long long> Extents =
       Program.numDims() == 1   ? std::vector<long long>{193}
@@ -436,10 +440,18 @@ bool verifyNativeKernel(const StencilProgram &Program,
   copyGrid(Ref0, Ref1);
   Grid<T> Nat0 = Ref0, Nat1 = Ref0;
   referenceRun<T>(Program, {&Ref0, &Ref1}, Steps);
-  Executor.run<T>({&Nat0, &Nat1}, Steps);
+  const int Rc = Executor.runRaw(Nat0.data(), Nat1.data(), Extents.data(),
+                                 static_cast<int>(Extents.size()), Steps);
+  if (Rc != 0) {
+    std::fprintf(stderr,
+                 "an5dc: native kernel rejected the run (code %d: %s)\n", Rc,
+                 NativeExecutor::describeRunCode(Rc));
+    return NativeVerdict::Unavailable;
+  }
   const Grid<T> &Want = Steps % 2 == 0 ? Ref0 : Ref1;
   const Grid<T> &Got = Steps % 2 == 0 ? Nat0 : Nat1;
-  return Want.raw() == Got.raw();
+  return Want.raw() == Got.raw() ? NativeVerdict::Bitwise
+                                 : NativeVerdict::Mismatch;
 }
 
 /// Compiles (or fetches), loads and times the native kernel on the
@@ -466,8 +478,9 @@ bool runNativeTimed(const StencilProgram &Program, const BlockConfig &Config,
   KernelTiming Timing = timeNativeKernel<T>(
       Executor, Problem, Program.radius(), Repeats, NativeOpts.Threads);
   if (Timing.Rc != 0) {
-    std::fprintf(stderr, "an5dc: native kernel rejected the run (code %d)\n",
-                 Timing.Rc);
+    std::fprintf(stderr,
+                 "an5dc: native kernel rejected the run (code %d: %s)\n",
+                 Timing.Rc, NativeExecutor::describeRunCode(Timing.Rc));
     return false;
   }
   double CellUpdates = static_cast<double>(Problem.cellCount()) *
@@ -534,10 +547,12 @@ struct ObsFlushGuard {
     long long Misses = Registry.counterValue("kernel_cache.misses");
     long long Failures = Registry.counterValue("kernel_cache.failures");
     long long Evictions = Registry.counterValue("kernel_cache.evictions");
+    long long Corrupt = Registry.counterValue("kernel_cache.corrupt");
     if (Hits + Misses + Failures > 0)
       std::printf("kernel cache: %lld hit(s), %lld miss(es), %lld "
-                  "failure(s), %lld eviction(s), %.0f%% hit rate\n",
-                  Hits, Misses, Failures, Evictions,
+                  "failure(s), %lld eviction(s), %lld corrupt, %.0f%% hit "
+                  "rate\n",
+                  Hits, Misses, Failures, Evictions, Corrupt,
                   Hits + Misses > 0
                       ? 100.0 * static_cast<double>(Hits) /
                             static_cast<double>(Hits + Misses)
@@ -925,14 +940,19 @@ int main(int Argc, char **Argv) {
   }
 
   if (Options.VerifyNative) {
-    bool Ok = Program->elemType() == ScalarType::Float
-                  ? verifyNativeKernel<float>(*Program, Config,
-                                              Options.NativeOpts)
-                  : verifyNativeKernel<double>(*Program, Config,
-                                               Options.NativeOpts);
+    NativeVerdict Verdict =
+        Program->elemType() == ScalarType::Float
+            ? verifyNativeKernel<float>(*Program, Config, Options.NativeOpts)
+            : verifyNativeKernel<double>(*Program, Config,
+                                         Options.NativeOpts);
     std::printf("verify-native (%s): %s\n", Config.toString().c_str(),
-                Ok ? "native == reference (bitwise)" : "MISMATCH");
-    if (!Ok)
+                Verdict == NativeVerdict::Bitwise
+                    ? "native == reference (bitwise)"
+                : Verdict == NativeVerdict::Mismatch
+                    ? "MISMATCH"
+                    : "not verified: the native kernel did not build, load "
+                      "or run");
+    if (Verdict != NativeVerdict::Bitwise)
       return 1;
   }
 
